@@ -58,8 +58,42 @@ def test_run_all_scales():
         assert report.passed, (report.name, report.actual)
 
 
+# Suite names, order and case counts of run_all(4), pinned byte for byte.
+RUN_ALL_4_CASES = [
+    ("partitions/syt-hook-vs-enumeration", 12),
+    ("partitions/lr-symmetry", 143),
+    ("partitions/complement-involution", 251),
+    ("partitions/character-orthogonality", 39),
+    ("symfunc/kostka-round-trip", 27),
+    ("symfunc/product-laws", 148),
+    ("perms/stanley-stability", 33),
+    ("perms/stanley-schur-positive", 33),
+    ("perms/tau-invariance-and-degree", 88),
+    ("perms/embedded-length", 33),
+    ("rankset/round-trip", 74),
+    ("rankset/codim-equals-length", 74),
+    ("rankset/interval-rank-identity", 627),
+    ("rankset/class-oracle-equivalence", 70),
+    ("rankset/stretch-compatibility", 70),
+    ("rankset/permutation-rank-set-identity", 33),
+    ("grassmann/phi-ring-map", 24),
+    ("grassmann/pieri-degree", 22),
+    ("diagrams/rothe-inversions", 33),
+    ("diagrams/degeneration", 33),
+    ("diagrams/james-peel-monotonicity", 1536),
+    ("diagrams/specht-oracle-agreement", 245),
+    ("diagrams/box-duality", 120),
+    ("diagrams/row-col-invariance", 25),
+]
+
+
 def test_run_all_at_stated_scales():
-    for report in run_all(4):
+    reports = run_all(4)
+    assert [(r.name, r.expected, r.actual) for r in reports] == [
+        (name, f"0 violations in {cases} cases", f"0 violations in {cases} cases")
+        for name, cases in RUN_ALL_4_CASES
+    ]
+    for report in reports:
         assert report.passed, (report.name, report.actual)
     for report in run_all(5):
         assert report.passed, (report.name, report.actual)
