@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification checks")
     p.add_argument("scope", choices=["paper", "suite"])
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=4, help="suite scale, at least 1")
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -187,6 +187,8 @@ def _cmd_schubert(args) -> int:
     text = args.cls.strip()
     if "@Gr(" in text:
         cls = parse_class(text)
+        if args.gr is not None and _parse_gr(args.gr) != cls.context():
+            raise ParseError(f"--gr {args.gr} disagrees with the class context")
     else:
         if args.gr is None:
             raise ParseError("a bare partition needs --gr K,N")
@@ -203,6 +205,8 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.scope == "suite" and args.max_n < 1:
+        raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
     reports = (
         replay_counterexample() if args.scope == "paper" else run_all(args.max_n)
     )

@@ -13,7 +13,7 @@ Text form mirrors the Schur expansion with letter 'o' and a context suffix:
 from __future__ import annotations
 
 import re
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ContextMismatch, ParseError, ShapeTooLarge
 from .partitions import (
@@ -24,81 +24,55 @@ from .partitions import (
     lr_coefficient,
     all_partitions,
     partition,
-    partition_text,
-    sort_key,
     syt_count,
 )
-from .symfunc import SchurExpansion, parse_expansion, schur_product
+from .symfunc import SchurExpansion, _Expansion, _parse_terms, schur_product
 
 
-class SchubertClass:
+class SchubertClass(_Expansion):
     """An integer combination of Schubert classes in a fixed Gr(k, n)."""
 
-    __slots__ = ("k", "n", "_terms")
+    basis_letter = "o"
+    __slots__ = ("k", "n")
 
     def __init__(self, k: int, n: int, terms: Mapping[Partition, int] = ()):
         if not (0 <= k <= n):
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
         self.k = k
         self.n = n
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Partition, int] = {}
-        for lam, c in items:
-            lam = partition(lam)
-            if len(lam) > k or (lam and lam[0] > n - k):
-                raise ValueError(f"{lam} does not fit in {k}x{n - k}")
-            c = int(c)
-            if c:
-                data[lam] = data.get(lam, 0) + c
-        self._terms = {
-            lam: c
-            for lam, c in sorted(data.items(), key=lambda kv: sort_key(kv[0]))
-            if c
-        }
+        super().__init__(terms)
+
+    def _key(self, lam) -> Partition:
+        lam = partition(lam)
+        if len(lam) > self.k or (lam and lam[0] > self.n - self.k):
+            raise ValueError(f"{lam} does not fit in {self.k}x{self.n - self.k}")
+        return lam
+
+    def _like(self, terms: Mapping[Partition, int], other=None) -> SchubertClass:
+        if other is not None:
+            _same_context(self, other)
+        return SchubertClass(self.k, self.n, terms)
+
+    @classmethod
+    def basis(cls, lam: Partition, k: int, n: int, coefficient: int = 1):
+        return cls(k, n, {partition(lam): coefficient})
+
+    @classmethod
+    def one(cls, k: int, n: int):
+        """The fundamental class: coefficient 1 on the empty partition."""
+        return cls(k, n, {(): 1})
 
     def context(self) -> tuple[int, int]:
         return (self.k, self.n)
 
-    def terms(self) -> dict[Partition, int]:
-        return dict(self._terms)
-
-    def coeff(self, lam: Partition) -> int:
-        return self._terms.get(partition(lam), 0)
-
-    def items(self) -> Iterator[tuple[Partition, int]]:
-        return iter(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchubertClass)
-            and self.context() == other.context()
-            and self._terms == other._terms
-        )
+        return super().__eq__(other) and self.context() == other.context()
 
     def __hash__(self) -> int:
         return hash((self.k, self.n, tuple(self._terms.items())))
 
     def text(self) -> str:
-        suffix = f"@Gr({self.k},{self.n})"
-        if not self._terms:
-            return "0" + suffix
-        pieces = []
-        for i, (lam, c) in enumerate(self.items()):
-            body = f"{abs(c)}*o[{partition_text(lam)}]"
-            if i == 0:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"{' + ' if c > 0 else ' - '}{body}")
-        return "".join(pieces) + suffix
-
-    def __repr__(self) -> str:
-        return f"SchubertClass({self.text()!r})"
+        return f"{super().text()}@Gr({self.k},{self.n})"
 
 
 def phi(s: SchurExpansion, k: int, n: int) -> SchubertClass:
@@ -133,20 +107,13 @@ def class_product(a: SchubertClass, b: SchubertClass) -> SchubertClass:
 
 
 def class_add(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    _same_context(a, b)
-    data = a.terms()
-    for lam, c in b.items():
-        data[lam] = data.get(lam, 0) + c
-    return SchubertClass(a.k, a.n, data)
+    """Coefficientwise sum; raises ContextMismatch across Grassmannians."""
+    return a + b
 
 
 def class_sub(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """Coefficientwise difference."""
-    _same_context(a, b)
-    data = a.terms()
-    for lam, c in b.items():
-        data[lam] = data.get(lam, 0) - c
-    return SchubertClass(a.k, a.n, data)
+    """Coefficientwise difference; raises ContextMismatch across Grassmannians."""
+    return a - b
 
 
 def is_schubert_nonnegative(x: SchubertClass) -> bool:
@@ -165,7 +132,7 @@ def class_degree(x: SchubertClass) -> int:
 
 
 def schubert_class(lam: Partition, k: int, n: int) -> SchubertClass:
-    return SchubertClass(k, n, {partition(lam): 1})
+    return SchubertClass.basis(lam, k, n)
 
 
 def point_class(k: int, n: int) -> SchubertClass:
@@ -200,25 +167,14 @@ def skew_complement_class(
 _CLASS_RE = re.compile(r"^(.*)@Gr\((\d+),(\d+)\)$")
 
 
-def class_text(x: SchubertClass) -> str:
-    return x.text()
-
-
 def parse_class(text: str) -> SchubertClass:
     match = _CLASS_RE.match(text.strip())
     if not match:
         raise ParseError(f"class text must end with '@Gr(k,n)': {text!r}")
     body, ktext, ntext = match.groups()
     k, n = int(ktext), int(ntext)
-    body = body.strip()
-    if body == "0":
-        return SchubertClass(k, n)
-
-    class _OBasis(SchurExpansion):
-        basis_letter = "o"
-
-    expansion = parse_expansion(body, _OBasis)
+    terms = _parse_terms(body, SchubertClass.basis_letter)
     try:
-        return SchubertClass(k, n, expansion.terms())
+        return SchubertClass(k, n, terms)
     except ValueError as exc:
         raise ParseError(f"bad class {text!r}: {exc}") from None

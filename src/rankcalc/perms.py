@@ -39,10 +39,6 @@ def check_permutation(w) -> Permutation:
     return w
 
 
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
 def inversions(w: Permutation) -> int:
     """Ordinary inversion count."""
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])

@@ -32,7 +32,12 @@ from .partitions import (
 
 
 class _Expansion:
-    """Shared mechanics for expansions in a fixed basis."""
+    """Shared mechanics for expansions in a fixed basis.
+
+    Subclasses hook in at two points: _key turns each incoming index into a
+    partition (and may reject it), and _like builds the result of +, -,
+    unary - and scalar * (and may check the other operand).
+    """
 
     basis_letter = "?"
     __slots__ = ("_terms",)
@@ -41,13 +46,19 @@ class _Expansion:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[Partition, int] = {}
         for lam, c in items:
-            lam = partition(lam)
+            lam = self._key(lam)
             c = int(c)
             if c:
                 data[lam] = data.get(lam, 0) + c
         self._terms = {
             lam: c for lam, c in sorted(data.items(), key=lambda kv: sort_key(kv[0])) if c
         }
+
+    def _key(self, lam) -> Partition:
+        return partition(lam)
+
+    def _like(self, terms: Mapping[Partition, int], other=None):
+        return type(self)(terms)
 
     @classmethod
     def basis(cls, lam: Partition, coefficient: int = 1):
@@ -83,35 +94,36 @@ class _Expansion:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def is_zero(self) -> bool:
+        return not self._terms
+
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, tuple(self._terms.items())))
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
         data = dict(self._terms)
         for lam, c in other.items():
-            data[lam] = data.get(lam, 0) + c
-        return type(self)(data)
+            data[lam] = data.get(lam, 0) + sign * c
+        return self._like(data, other)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        data = dict(self._terms)
-        for lam, c in other.items():
-            data[lam] = data.get(lam, 0) - c
-        return type(self)(data)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return type(self)({lam: -c for lam, c in self.items()})
+        return self._like({lam: -c for lam, c in self.items()})
 
     def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return type(self)({lam: scalar * c for lam, c in self.items()})
+        return self._like({lam: scalar * c for lam, c in self.items()})
 
     def text(self) -> str:
         if not self._terms:
@@ -235,9 +247,14 @@ def parse_expansion(text: str, cls=SchurExpansion):
     >>> parse_expansion("1*s[2,2] + 1*s[3,1] - 1*s[4]").coeff((4,))
     -1
     """
+    return cls(_parse_terms(text, cls.basis_letter))
+
+
+def _parse_terms(text: str, letter: str) -> dict[Partition, int]:
+    """The nonzero coefficients of an expansion text in the basis `letter`."""
     body = text.strip()
     if body == "0":
-        return cls()
+        return {}
     if body.startswith("-"):
         body = body[1:].lstrip()
         signs = [-1]
@@ -253,9 +270,9 @@ def parse_expansion(text: str, cls=SchurExpansion):
         match = _TERM_RE.match(term.strip())
         if not match:
             raise ParseError(f"bad expansion term {term!r}")
-        coeff, letter, inner = match.groups()
-        if letter != cls.basis_letter:
-            raise ParseError(f"expected basis {cls.basis_letter!r}, got {letter!r}")
+        coeff, found, inner = match.groups()
+        if found != letter:
+            raise ParseError(f"expected basis {letter!r}, got {found!r}")
         lam = parse_partition(inner)
         data[lam] = data.get(lam, 0) + sign * int(coeff)
-    return cls(data)
+    return {lam: c for lam, c in data.items() if c}

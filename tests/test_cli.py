@@ -108,6 +108,10 @@ def test_schubert_commands(capsys):
     assert (code, out.strip()) == (0, str(2640 + 2970))
     code, _, _ = run(capsys, "schubert", "degree", "2,2")
     assert code == 2  # bare partition without --gr
+    code, out, _ = run(capsys, "schubert", "degree", "1*o[1]@Gr(2,4)", "--gr", "2,4")
+    assert (code, out.strip()) == (0, "2")  # --gr agrees with the class text
+    code, out, _ = run(capsys, "schubert", "degree", "1*o[1]@Gr(2,4)", "--gr", "3,6")
+    assert (code, out) == (2, "")  # --gr disagrees with the class text
     code, _, _ = run(capsys, "schubert", "mult", "3", "1", "--gr", "2,4")
     assert code == 2  # partition does not fit the rectangle
 
@@ -140,9 +144,9 @@ def test_verify_paper(capsys):
 
 
 def test_verify_suite(capsys):
-    code, out, _ = run(capsys, "verify", "suite", "--max-n", "0")
-    assert code == 0
-    assert out == ""
+    for scale in ("0", "-3"):
+        code, out, _ = run(capsys, "verify", "suite", "--max-n", scale)
+        assert (code, out) == (2, "")  # a scale below 1 would check nothing
     code, out, _ = run(capsys, "verify", "suite", "--max-n", "2", "--json")
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]

@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import rankcalc.diagrams
 import rankcalc.grassmann
@@ -22,3 +23,10 @@ def test_module_doctests():
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__
+
+
+def test_readme_quick_tour():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted > 0

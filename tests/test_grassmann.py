@@ -67,6 +67,23 @@ def test_context_mismatch():
         class_product(schubert_class((1,), 2, 4), schubert_class((1,), 2, 5))
     with pytest.raises(ContextMismatch):
         class_sub(schubert_class((1,), 2, 4), schubert_class((1,), 3, 6))
+    x, y = schubert_class((1,), 2, 4), schubert_class((1,), 2, 5)
+    with pytest.raises(ContextMismatch):
+        x + y
+    with pytest.raises(ContextMismatch):
+        x - y
+    with pytest.raises(ContextMismatch):
+        class_add(x, y)
+    # negation and scalars keep the context
+    assert (-x).context() == (2, 4) and (-x).coeff((1,)) == -1
+    assert (2 * x).context() == (2, 4) and (2 * x).coeff((1,)) == 2
+    assert 2 * x == class_add(x, x) and -x == class_sub(SchubertClass(2, 4), x)
+    # equal terms in another context or another basis are not equal
+    assert x != SchubertClass(2, 5, {(1,): 1})
+    assert x != s(1) and s(1) != x
+    assert x == SchubertClass(2, 4, {(1,): 1}) and hash(x) == hash(schubert_class((1,), 2, 4))
+    assert SchubertClass.basis((1,), 2, 4) == x
+    assert SchubertClass.one(2, 4) == schubert_class((), 2, 4)
 
 
 def test_class_degree():
@@ -164,3 +181,17 @@ def test_class_text():
         parse_class("1*o[2,2]")
     with pytest.raises(ParseError):
         parse_class("1*o[3]@Gr(2,4)")  # does not fit the rectangle
+    with pytest.raises(ParseError):
+        parse_class("1*s[1]@Gr(2,4)")  # wrong basis letter
+    for size in range(2 * 3 + 1):
+        for lam in all_partitions(size):
+            if len(lam) <= 2 and (not lam or lam[0] <= 3):
+                single = schubert_class(lam, 2, 5)
+                assert parse_class(single.text()) == single
+    mixed = class_sub(
+        class_add(schubert_class((3, 1), 2, 5), 3 * schubert_class((1,), 2, 5)),
+        2 * schubert_class((2, 2), 2, 5),
+    )
+    assert mixed.text() == "3*o[1] - 2*o[2,2] + 1*o[3,1]@Gr(2,5)"
+    assert parse_class(mixed.text()) == mixed
+    assert repr(mixed) == f"SchubertClass({mixed.text()!r})"
