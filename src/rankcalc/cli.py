@@ -7,7 +7,8 @@ Commands:
     diagram-specht <diagram> [--family skew|perm:<w>|product|dual]
     schubert mult <lam> <mu> --gr K,N
     schubert degree <class-or-partition> [--gr K,N]
-    verify paper|suite [--max-n N]
+    verify paper
+    verify suite [--max-n N]
 
 Exit codes: 0 success, 1 check failure, 2 parse error (including unknown
 flags), 3 domain error.  --json switches any command to a single JSON
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification checks")
     p.add_argument("scope", choices=["paper", "suite"])
-    p.add_argument("--max-n", type=int, default=4, help="suite scale, at least 1")
+    p.add_argument("--max-n", type=int, help="suite scale, at least 1 (default 4)")
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -205,11 +206,12 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.scope == "suite" and args.max_n < 1:
-        raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
-    reports = (
-        replay_counterexample() if args.scope == "paper" else run_all(args.max_n)
-    )
+    if args.scope == "paper" and args.max_n is not None:
+        raise ParseError("--max-n applies to verify suite only")
+    max_n = 4 if args.max_n is None else args.max_n
+    if max_n < 1:
+        raise ParseError(f"--max-n must be at least 1, got {max_n}")
+    reports = replay_counterexample() if args.scope == "paper" else run_all(max_n)
     for report in reports:
         if args.json:
             print(json.dumps(report.to_dict()))

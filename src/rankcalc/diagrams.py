@@ -36,13 +36,12 @@ from .partitions import (
     all_partitions,
     centralizer_order,
     complement,
-    lr_coefficient,
     mn_character,
     partition,
     syt_count,
 )
 from .perms import Permutation, check_permutation, parse_permutation, stanley
-from .symfunc import SchurExpansion, schur_product
+from .symfunc import SchurExpansion, schur_product, skew_schur
 
 Cell = tuple[int, int]
 
@@ -216,16 +215,6 @@ def _as_skew(d: Diagram) -> tuple[Partition, Partition] | None:
     return (partition(outer), tuple(inner))
 
 
-def _skew_expansion(outer: Partition, inner: Partition) -> SchurExpansion:
-    inner = partition(inner)
-    data = {}
-    for nu in all_partitions(sum(outer) - sum(inner)):
-        c = lr_coefficient(outer, inner, nu)
-        if c:
-            data[nu] = c
-    return SchurExpansion(data)
-
-
 def _try_product_split(d: Diagram) -> SchurExpansion | None:
     rows = sorted({r for r, _ in d.cells})
     for cut_index in range(1, len(rows)):
@@ -260,7 +249,7 @@ def specht_schur(d: Diagram, family=None) -> SchurExpansion:
             return SchurExpansion.one()
         skew = _as_skew(d)
         if skew is not None:
-            return _skew_expansion(*skew)
+            return skew_schur(*skew)
         product = _try_product_split(d)
         if product is not None:
             return product
@@ -269,7 +258,7 @@ def specht_schur(d: Diagram, family=None) -> SchurExpansion:
         skew = _as_skew(d)
         if skew is None:
             raise UnsupportedDiagram(f"{sorted(d.cells)} is not a skew shape")
-        return _skew_expansion(*skew)
+        return skew_schur(*skew)
     if family == "product":
         if not d.cells:
             return SchurExpansion.one()
@@ -280,12 +269,8 @@ def specht_schur(d: Diagram, family=None) -> SchurExpansion:
     if family == "dual":
         if d.ctx is None:
             raise UnsupportedDiagram("dual family needs the diagram's box")
-        primal = complement_rotate(d, d.ctx)
-        inner = specht_schur(primal)
-        data = {}
-        for lam, c in inner.items():
-            data[complement(lam, d.ctx)] = c
-        return SchurExpansion(data)
+        primal = specht_schur(complement_rotate(d, d.ctx))
+        return SchurExpansion({complement(lam, d.ctx): c for lam, c in primal.items()})
     if isinstance(family, str) and family.startswith("perm:"):
         family = ("perm", parse_permutation(family[len("perm:"):]))
     if isinstance(family, tuple) and family and family[0] == "perm":

@@ -21,12 +21,11 @@ from .partitions import (
     RectangleContext,
     complement,
     contains,
-    lr_coefficient,
-    all_partitions,
+    fits,
     partition,
     syt_count,
 )
-from .symfunc import SchurExpansion, _Expansion, _parse_terms, schur_product
+from .symfunc import SchurExpansion, _Expansion, _parse_terms, schur_product, skew_schur
 
 
 class SchubertClass(_Expansion):
@@ -44,7 +43,7 @@ class SchubertClass(_Expansion):
 
     def _key(self, lam) -> Partition:
         lam = partition(lam)
-        if len(lam) > self.k or (lam and lam[0] > self.n - self.k):
+        if not fits(lam, self.k, self.n - self.k):
             raise ValueError(f"{lam} does not fit in {self.k}x{self.n - self.k}")
         return lam
 
@@ -81,13 +80,7 @@ def phi(s: SchurExpansion, k: int, n: int) -> SchubertClass:
     >>> phi(SchurExpansion.basis((5,)), 4, 8).is_zero()
     True
     """
-    rect_rows, rect_cols = k, n - k
-    kept = {
-        lam: c
-        for lam, c in s.items()
-        if len(lam) <= rect_rows and (not lam or lam[0] <= rect_cols)
-    }
-    return SchubertClass(k, n, kept)
+    return SchubertClass(k, n, {lam: c for lam, c in s.items() if fits(lam, k, n - k)})
 
 
 def lift(x: SchubertClass) -> SchurExpansion:
@@ -136,8 +129,8 @@ def schubert_class(lam: Partition, k: int, n: int) -> SchubertClass:
 
 
 def point_class(k: int, n: int) -> SchubertClass:
-    full = tuple([n - k] * k) if k and n - k else ()
-    return SchubertClass(k, n, {full: 1})
+    """The class of a point: the complement of the empty partition."""
+    return SchubertClass(k, n, {complement((), RectangleContext(k, n - k)): 1})
 
 
 def skew_complement_class(
@@ -150,18 +143,14 @@ def skew_complement_class(
     2
     """
     lam, mu = partition(lam), partition(mu)
-    ctx = RectangleContext(k, n - k)
-    if len(lam) > k or (lam and lam[0] > n - k):
+    if not fits(lam, k, n - k):
         raise ShapeTooLarge(f"{lam} does not fit in {k}x{n - k}")
     if not contains(lam, mu):
         raise ShapeTooLarge(f"{mu} does not fit inside {lam}")
-    data: dict[Partition, int] = {}
-    for nu in all_partitions(sum(lam) - sum(mu)):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            nv = complement(nu, ctx)
-            data[nv] = data.get(nv, 0) + c
-    return SchubertClass(k, n, data)
+    ctx = RectangleContext(k, n - k)
+    return SchubertClass(
+        k, n, {complement(nu, ctx): c for nu, c in skew_schur(lam, mu).items()}
+    )
 
 
 _CLASS_RE = re.compile(r"^(.*)@Gr\((\d+),(\d+)\)$")

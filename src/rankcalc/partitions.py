@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ShapeTooLarge, SizeMismatch
 
@@ -64,6 +64,27 @@ def sort_key(lam: Partition) -> tuple[int, Partition]:
     return (sum(lam), lam)
 
 
+def fits(lam: Partition, rows: int, cols: int) -> bool:
+    """True if ``lam`` has at most ``rows`` parts, each at most ``cols``."""
+    return len(lam) <= rows and (not lam or lam[0] <= cols)
+
+
+def box_partitions(n: int, rows: int, cols: int) -> Iterator[Partition]:
+    """The partitions of ``n`` that fit in ``rows`` x ``cols``, in the fixed
+    total order, generated without a discarded branch.
+
+    >>> list(box_partitions(4, 2, 3))
+    [(2, 2), (3, 1)]
+    """
+    if n == 0:
+        yield ()
+    elif 0 < n <= rows * cols:
+        # the least first part that lets `rows` parts reach n
+        for first in range(max(1, -(-n // rows)), min(n, cols) + 1):
+            for rest in box_partitions(n - first, rows - 1, first):
+                yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in the fixed total order.
@@ -71,16 +92,7 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
     >>> all_partitions(4)
     ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
     """
-
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(sorted(gen(n, n), key=sort_key))
+    return tuple(box_partitions(n, n, n))
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -125,7 +137,7 @@ def complement(lam: Partition, ctx: RectangleContext) -> Partition:
     (2,)
     """
     rows, cols = ctx
-    if len(lam) > rows or (lam and lam[0] > cols):
+    if not fits(lam, rows, cols):
         raise ShapeTooLarge(f"{lam} does not fit in {rows}x{cols}")
     padded = lam + (0,) * (rows - len(lam))
     return partition(cols - padded[rows - 1 - i] for i in range(rows))

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ParseError
-from .partitions import Partition, all_partitions
+from .partitions import Partition, box_partitions
 from .symfunc import MonomialExpansion, SchurExpansion, monomial_to_schur
 
 Permutation = tuple[int, ...]
@@ -281,16 +281,11 @@ def affine_stanley(f: AffinePermutation) -> MonomialExpansion:
     shift = av(f)
     f0 = AffinePermutation(tuple(x - shift for x in f.window))
     total = _length(f0.window)
-    if total == 0:
-        return MonomialExpansion.one()
-    data = {}
-    for lam in all_partitions(total):
-        if lam[0] > f0.n - 1:
-            continue
-        c = _factorization_count(f0.window, lam)
-        if c:
-            data[lam] = c
-    return MonomialExpansion(data)
+    # a cyclically decreasing factor omits a residue, so its length is < n
+    return MonomialExpansion(
+        (lam, _factorization_count(f0.window, lam))
+        for lam in box_partitions(total, total, f0.n - 1)
+    )
 
 
 def stanley(w: Permutation) -> SchurExpansion:

@@ -22,7 +22,7 @@ from .partitions import (
     Partition,
     _count_tableaux,
     all_partitions,
-    contains,
+    box_partitions,
     lr_coefficient,
     partition,
     partition_text,
@@ -120,10 +120,12 @@ class _Expansion:
     def __neg__(self):
         return self._like({lam: -c for lam, c in self.items()})
 
-    def __rmul__(self, scalar: int):
+    def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
         return self._like({lam: scalar * c for lam, c in self.items()})
+
+    __rmul__ = __mul__
 
     def text(self) -> str:
         if not self._terms:
@@ -216,7 +218,8 @@ def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
 
 
 def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
-    """Product via the Littlewood-Richardson rule, extended bilinearly.
+    """Product via the Littlewood-Richardson rule, extended bilinearly; c^lam_{mu nu}
+    vanishes unless lam fits in l(mu) + l(nu) rows of mu_1 + nu_1 columns.
 
     >>> schur_product(SchurExpansion.basis((1,)), SchurExpansion.basis((1,))).text()
     '1*s[1,1] + 1*s[2]'
@@ -224,13 +227,24 @@ def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     data: dict[Partition, int] = {}
     for mu, cm in a.items():
         for nu, cn in b.items():
-            for lam in all_partitions(sum(mu) + sum(nu)):
-                if not contains(lam, mu):
-                    continue
+            box = (len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1]))
+            for lam in box_partitions(sum(mu) + sum(nu), *box):
                 c = lr_coefficient(lam, mu, nu)
                 if c:
                     data[lam] = data.get(lam, 0) + cm * cn * c
     return SchurExpansion(data)
+
+
+def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
+    """s_{outer/inner} in the Schur basis: c^outer_{inner nu} on s_nu, where nu
+    fits in outer.
+
+    >>> skew_schur((2, 1), (1,)).text()
+    '1*s[1,1] + 1*s[2]'
+    """
+    inner = partition(inner)
+    nus = box_partitions(sum(outer) - sum(inner), len(outer), sum(outer[:1]))
+    return SchurExpansion((nu, lr_coefficient(outer, inner, nu)) for nu in nus)
 
 
 def is_schur_nonnegative(s: SchurExpansion) -> bool:

@@ -141,6 +141,9 @@ def test_verify_paper(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 5
     assert all(line.startswith("PASS") for line in lines)
+    # the replay has no scale, so --max-n is rejected, not dropped
+    code, out, err = run(capsys, "verify", "paper", "--max-n", "9")
+    assert (code, out) == (2, "") and "parse error" in err
 
 
 def test_verify_suite(capsys):

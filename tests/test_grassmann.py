@@ -77,6 +77,11 @@ def test_context_mismatch():
     # negation and scalars keep the context
     assert (-x).context() == (2, 4) and (-x).coeff((1,)) == -1
     assert (2 * x).context() == (2, 4) and (2 * x).coeff((1,)) == 2
+    assert x * 2 == 2 * x and (x * 2).context() == (2, 4)
+    with pytest.raises(TypeError):
+        x * 1.5
+    with pytest.raises(TypeError):
+        x * x
     assert 2 * x == class_add(x, x) and -x == class_sub(SchubertClass(2, 4), x)
     # equal terms in another context or another basis are not equal
     assert x != SchubertClass(2, 5, {(1,): 1})

@@ -5,6 +5,7 @@ from rankcalc.errors import ParseError, ShapeTooLarge, SizeMismatch
 from rankcalc.partitions import (
     RectangleContext,
     all_partitions,
+    box_partitions,
     centralizer_order,
     complement,
     conjugate,
@@ -17,6 +18,7 @@ from rankcalc.partitions import (
     partition_text,
     syt_count,
 )
+from rankcalc.symfunc import skew_schur
 
 from oracles import skew_syt_by_filling, syt_by_filling, transpose_cells
 
@@ -39,6 +41,24 @@ def test_partition_canonicalization():
 def test_all_partitions_order():
     assert all_partitions(0) == ((),)
     assert all_partitions(4) == ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
+    # partition numbers p(0..12); each table sorted, distinct and canonical
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for n, count in enumerate(counts):
+        parts = all_partitions(n)
+        assert len(parts) == count and list(parts) == sorted(set(parts))
+        assert all(partition(lam) == lam and sum(lam) == n for lam in parts)
+
+
+def test_box_partitions_filter_all_partitions():
+    for n in range(13):
+        for rows in range(7):
+            for cols in range(7):
+                want = tuple(
+                    lam
+                    for lam in all_partitions(n)
+                    if len(lam) <= rows and (not lam or lam[0] <= cols)
+                )
+                assert tuple(box_partitions(n, rows, cols)) == want, (n, rows, cols)
 
 
 def test_conjugate_examples():
@@ -135,6 +155,16 @@ def test_lr_totals_count_skew_standard_fillings(lam, mu):
         lr_coefficient(lam, mu, nu) * syt_count(nu) for nu in all_partitions(rest)
     )
     assert total == skew_syt_by_filling(lam, mu)
+    # the skew Schur expansion searches only the nu inside lam
+    skew = skew_schur(lam, mu)
+    assert sum(c * syt_count(nu) for nu, c in skew.items()) == skew_syt_by_filling(
+        lam, mu
+    )
+    assert skew.terms() == {
+        nu: lr_coefficient(lam, mu, nu)
+        for nu in all_partitions(rest)
+        if lr_coefficient(lam, mu, nu)
+    }
 
 
 def test_mn_character_examples():

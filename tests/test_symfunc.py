@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from rankcalc.errors import NotHomogeneous, ParseError
-from rankcalc.partitions import all_partitions
+from rankcalc.partitions import all_partitions, lr_coefficient
 from rankcalc.symfunc import (
     MonomialExpansion,
     SchurExpansion,
@@ -43,8 +43,27 @@ def test_expansion_mechanics():
     assert e.coeff((3,)) == 0
     assert (e - e) == SchurExpansion()
     assert not SchurExpansion()
-    assert 2 * s(1) == SchurExpansion({(1,): 2})
+    assert 2 * s(1) == SchurExpansion({(1,): 2}) == s(1) * 2
+    assert m(2) * -3 == -3 * m(2) == MonomialExpansion({(2,): -3})
+    for bad in (1.5, "2", s(1)):
+        with pytest.raises(TypeError):
+            s(1) * bad
     assert SchurExpansion() != MonomialExpansion()
+
+
+def test_schur_product_matches_unboxed_lr_loop():
+    # the product searches only the LR support box; the oracle searches
+    # every partition of the total size
+    singles = [lam for size in range(5) for lam in all_partitions(size)]
+    for mu in singles:
+        for nu in singles:
+            want = SchurExpansion(
+                {
+                    lam: lr_coefficient(lam, mu, nu)
+                    for lam in all_partitions(sum(mu) + sum(nu))
+                }
+            )
+            assert schur_product(s(*mu), s(*nu)) == want, (mu, nu)
 
 
 def test_kostka_values():

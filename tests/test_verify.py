@@ -2,6 +2,7 @@ from rankcalc.grassmann import class_add, class_sub, phi, schubert_class
 from rankcalc.perms import stanley
 from rankcalc.verify import (
     CheckReport,
+    _suite_complement_involution,
     check_class_bound,
     known_diagonal_class,
     replay_counterexample,
@@ -97,6 +98,12 @@ def test_run_all_at_stated_scales():
         assert report.passed, (report.name, report.actual)
     for report in run_all(5):
         assert report.passed, (report.name, report.actual)
+
+
+def test_complement_involution_at_scale_7():
+    # case count recorded at scale 7 before the suite enumerated inside the box
+    violations = list(_suite_complement_involution(7))
+    assert (len(violations), sum(violations)) == (12869, 0)
 
 
 def test_report_serialization():
