@@ -40,7 +40,13 @@ from .partitions import (
     partition,
     syt_count,
 )
-from .perms import Permutation, check_permutation, parse_permutation, stanley
+from .perms import (
+    Permutation,
+    check_permutation,
+    inversions,
+    parse_permutation,
+    stanley,
+)
 from .symfunc import SchurExpansion, schur_product, skew_schur
 
 Cell = tuple[int, int]
@@ -307,23 +313,6 @@ def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            size += 1
-        if size % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _block_subgroup(blocks: list[list[int]], m: int) -> list[tuple[int, ...]]:
     """All permutations of 0..m-1 preserving each block pointwise-setwise."""
     members = [tuple(range(m))]
@@ -432,7 +421,7 @@ def _bruteforce_from_filling(d: Diagram, filling: dict[Cell, int]) -> SchurExpan
 
     generator: dict[int, int] = {}
     for q in col_group:
-        sq = _perm_sign(q)
+        sq = (-1) ** inversions(q)
         for p in row_group:
             idx = index[_perm_compose(q, p)]
             generator[idx] = generator.get(idx, 0) + sq

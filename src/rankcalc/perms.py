@@ -11,7 +11,8 @@ Decreasing-factorization counting follows the usual convention in which the
 word of a permutation multiplies as function composition left to right; with
 this convention the Stanley function of a single row-shaped inversion
 pattern comes out as a complete homogeneous function, matching the Specht
-module of its Rothe diagram.
+module of its Rothe diagram.  Factorizations are counted on raw windows by
+peeling simple reflections off the left, and the length is Shi's formula.
 """
 
 from __future__ import annotations
@@ -128,21 +129,6 @@ def is_bounded(f: AffinePermutation) -> bool:
     return all(i <= x <= i + f.n for i, x in enumerate(f.window, start=1))
 
 
-def compose(f: AffinePermutation, g: AffinePermutation) -> AffinePermutation:
-    """The affine permutation i -> f(g(i))."""
-    if f.n != g.n:
-        raise ValueError("period mismatch")
-    return AffinePermutation(tuple(evaluate(f, x) for x in g.window))
-
-
-def inverse(f: AffinePermutation) -> AffinePermutation:
-    out = [0] * f.n
-    for j, image in enumerate(f.window, start=1):
-        r = (image - 1) % f.n
-        out[r] = j + (r + 1 - image)
-    return AffinePermutation(tuple(out))
-
-
 def tau_shift(f: AffinePermutation, left: int, right: int) -> AffinePermutation:
     """Compose with powers of the shift: i -> f(i + right) + left."""
     return AffinePermutation(
@@ -152,21 +138,11 @@ def tau_shift(f: AffinePermutation, left: int, right: int) -> AffinePermutation:
 
 @lru_cache(maxsize=None)
 def _length(window: tuple[int, ...]) -> int:
+    # Shi's formula: sum over i < j in [n] of |floor((f(j) - f(i)) / n)|
     n = len(window)
-    lo, hi = min(window), max(window)
-    # Inversions (i, j), i in [n], j > i, f(i) > f(j).  For j > i + n*b with
-    # b = (hi - lo)//n + 2 we have f(j) = window[r] + (j - r - 1 rounded to a
-    # multiple of n) >= lo + j - n > lo + i + (hi - lo) = hi + i >= f(i), so
-    # no inversion occurs there and the scan below is exhaustive.
-    b = (hi - lo) // n + 2
-    count = 0
-    for i in range(1, n + 1):
-        fi = window[i - 1]
-        for j in range(i + 1, i + n * b + 1):
-            q, r = divmod(j - 1, n)
-            if window[r] + q * n < fi:
-                count += 1
-    return count
+    return sum(
+        abs((window[j] - window[i]) // n) for j in range(n) for i in range(j)
+    )
 
 
 def length(f: AffinePermutation) -> int:
@@ -192,79 +168,41 @@ def northeast_count(f: AffinePermutation, i: int, j: int) -> int:
     return sum(1 for p in range(lo, i) if evaluate(f, p) > j)
 
 
-def simple_reflection(i: int, n: int) -> AffinePermutation:
-    """The affine generator swapping i + pn and i + 1 + pn for all p."""
-    window = list(range(1, n + 1))
-    r = i % n
-    if r == 0:
-        window[0] = 0
-        window[n - 1] = n + 1
-    else:
-        window[r - 1], window[r] = r + 1, r
-    return AffinePermutation(tuple(window))
-
-
-def _cyclic_runs(s: frozenset[int], n: int) -> list[tuple[int, int, int]]:
-    """Maximal cyclic runs (start, top, length) of a proper residue set."""
-    runs = []
-    for a in sorted(s):
-        if (a - 1) % n in s:
-            continue
-        b, size = a, 1
-        while (b + 1) % n in s:
-            b = (b + 1) % n
-            size += 1
-        runs.append((a, b, size))
-    return runs
-
-
-def cyclically_decreasing(s: frozenset[int], n: int) -> AffinePermutation:
-    """The cyclically decreasing element with support ``s`` (a proper subset
-    of the residues): each maximal run a..b contributes the factor
-    s_b s_{b-1} ... s_a, and distinct runs commute."""
-    if len(s) >= n:
-        raise ValueError("support must be a proper subset of the residues")
-    window = list(range(1, n + 1))
-    for a, _b, size in _cyclic_runs(s, n):
-        for p in range(1, n + 1):
-            off = (p - a) % n
-            if off == 0:
-                window[p - 1] = p + size
-            elif off <= size:
-                window[p - 1] = p - 1
-    return AffinePermutation(tuple(window))
-
-
-def left_descents(f: AffinePermutation) -> frozenset[int]:
-    """Residues i with l(s_i f) < l(f), i.e. f^{-1}(i) > f^{-1}(i+1)."""
-    g = inverse(f)
-    return frozenset(
-        i for i in range(f.n) if evaluate(g, i) > evaluate(g, i + 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def _factorization_count(window: tuple[int, ...], lam: Partition) -> int:
     """Number of ways to write the element as a product of cyclically
-    decreasing left factors of sizes lam[0], lam[1], ... with lengths adding."""
+    decreasing left factors of sizes lam[0], lam[1], ... with lengths adding.
+
+    The sizes must sum to the length of the window.  A factor with support s
+    is s_b ... s_a over each maximal cyclic run a..b of s, so it is peeled
+    off by left multiplication with s_b, ..., s_a in turn: s_i adds 1 to the
+    entry congruent to i and subtracts 1 from the one congruent to i + 1
+    (mod n).  The lengths add exactly when every peel is a left descent,
+    f^-1(i) > f^-1(i + 1); then the leaf, of length 0, is the identity.
+    """
     if not lam:
-        return 1 if _length(window) == 0 else 0
-    f = AffinePermutation(window)
-    n = f.n
-    target = _length(window) - lam[0]
-    if target < 0:
-        return 0
-    lds = left_descents(f)
+        return 1
+    n = len(window)
+    pos = [0] * n  # pos[v]: the index of the entry congruent to v mod n
+    for p, x in enumerate(window):
+        pos[x % n] = p
     total = 0
-    for subset in combinations(range(n), lam[0]):
-        s = frozenset(subset)
-        # every run top of a left factor must be a left descent
-        if any(b not in lds for _a, b, _sz in _cyclic_runs(s, n)):
-            continue
-        d = cyclically_decreasing(s, n)
-        rest = compose(inverse(d), f)
-        if _length(rest.window) == target:
-            total += _factorization_count(rest.window, lam[1:])
+    # r is the largest residue the support omits, so r + 1, ..., n - 1 are in
+    # it; walking down from r - 1 meets every run from its top
+    for r in range(max(n - 1 - lam[0], 0), n):
+        above = tuple(range(n - 1, r, -1))
+        for below in combinations(range(r - 1, -1, -1), lam[0] - len(above)):
+            w, at = list(window), pos[:]
+            for i in below + above:
+                p, q = at[i], at[(i + 1) % n]
+                # f^-1(i) = p + 1 + i - w[p] against f^-1(i + 1)
+                if p - w[p] <= q - w[q] + 1:
+                    break
+                w[p] += 1
+                w[q] -= 1
+                at[i], at[(i + 1) % n] = q, p
+            else:
+                total += _factorization_count(tuple(w), lam[1:])
     return total
 
 

@@ -6,6 +6,7 @@ factorization enumeration), deliberately avoiding the library's own
 algorithms so the two sides can check each other.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -83,6 +84,7 @@ def window_inverse(f):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def window_length(window):
     n = len(window)
     lo, hi = min(window), max(window)
@@ -106,6 +108,7 @@ def reflection_window(i, n):
     return tuple(window)
 
 
+@lru_cache(maxsize=None)
 def cyclically_decreasing_windows(n):
     """All cyclically decreasing elements, as a dict window -> support size.
 
@@ -135,26 +138,27 @@ def cyclically_decreasing_windows(n):
 def factorization_counts(window, lam):
     """Number of tuples of cyclically decreasing elements with support
     sizes lam whose composition equals the given window.  The caller must
-    pass lam summing to the length of the window, which makes length
-    additivity automatic."""
+    pass lam summing to the length of the window.  Then every factorization
+    is length-additive at each step, so a branch whose remainder does not
+    drop in length by the size of the factor is pruned."""
     n = len(window)
     shift = (sum(window) - n * (n + 1) // 2) // n
-    window = tuple(x - shift for x in window)
-    identity = tuple(range(1, n + 1))
-    cd = cyclically_decreasing_windows(n)
+    return _count_factorizations(tuple(x - shift for x in window), tuple(lam))
 
-    def count(remaining, parts):
-        if not parts:
-            return 1 if remaining == identity else 0
-        total = 0
-        for d, size in cd.items():
-            if size != parts[0]:
-                continue
-            rest = window_compose(window_inverse(d), remaining)
-            total += count(rest, parts[1:])
-        return total
 
-    return count(window, lam)
+@lru_cache(maxsize=None)
+def _count_factorizations(remaining, parts):
+    if not parts:
+        return 1 if remaining == tuple(range(1, len(remaining) + 1)) else 0
+    target = window_length(remaining) - parts[0]
+    total = 0
+    for d, size in cyclically_decreasing_windows(len(remaining)).items():
+        if size != parts[0]:
+            continue
+        rest = window_compose(window_inverse(d), remaining)
+        if window_length(rest) == target:
+            total += _count_factorizations(rest, parts[1:])
+    return total
 
 
 def bounded_windows(n):

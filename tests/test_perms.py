@@ -1,21 +1,20 @@
 from itertools import permutations as iter_permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankcalc.errors import ParseError
+from rankcalc.partitions import all_partitions
 from rankcalc.perms import (
     AffinePermutation,
     affine_identity,
     affine_stanley,
     av,
     check_permutation,
-    compose,
-    cyclically_decreasing,
     direct_sum,
     embed,
     evaluate,
-    inverse,
     is_bounded,
     length,
     northeast_count,
@@ -35,8 +34,13 @@ from rankcalc.symfunc import (
 
 from oracles import (
     bounded_windows,
+    cyclically_decreasing_windows,
     factorization_counts,
     inversion_count,
+    reflection_window,
+    window_compose,
+    window_eval,
+    window_inverse,
     window_length,
 )
 
@@ -105,9 +109,19 @@ def test_embedded_length_is_inversion_count(n, data):
 
 
 def test_length_matches_oracle_on_bounded_windows():
-    for n in (2, 3):
+    for n in (1, 2, 3, 4, 5):
         for window in bounded_windows(n):
             assert length(AffinePermutation(window)) == window_length(window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_length_matches_oracle_on_shifted_windows(n, data):
+    # distinct residues, each entry moved by its own multiple of n in [-4n, 4n]
+    w = data.draw(st.permutations(tuple(range(1, n + 1))))
+    shifts = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    window = tuple(x + n * k for x, k in zip(w, shifts))
+    assert length(AffinePermutation(window)) == window_length(window)
 
 
 def test_northeast_count():
@@ -128,32 +142,31 @@ def test_tau_shift():
 
 
 def test_compose_inverse():
-    f = AffinePermutation((5, 2, 7, 4))
-    assert compose(f, inverse(f)) == affine_identity(4)
-    assert compose(inverse(f), f) == affine_identity(4)
+    f = (5, 2, 7, 4)
+    g = window_inverse(f)
+    assert window_compose(f, g) == affine_identity(4).window
+    assert window_compose(g, f) == affine_identity(4).window
+    assert length(AffinePermutation(g)) == length(AffinePermutation(f)) == 4
 
 
 def test_cyclically_decreasing_elements_have_their_size_as_length():
-    from itertools import combinations
-
     for n in (2, 3, 4, 5):
-        for size in range(n):
-            for subset in combinations(range(n), size):
-                d = cyclically_decreasing(frozenset(subset), n)
-                assert length(d) == size, (subset, n)
+        elements = cyclically_decreasing_windows(n)
+        # one distinct element per nonempty proper residue subset
+        assert len(elements) == 2**n - 2
+        for window, size in elements.items():
+            assert length(AffinePermutation(window)) == size, (window, n)
 
 
 def test_simple_reflection_properties():
-    from rankcalc.perms import simple_reflection
-
     for n in (2, 3, 4):
         for i in range(n):
-            s = simple_reflection(i, n)
-            assert length(s) == 1
-            assert compose(s, s) == affine_identity(n)
-            assert evaluate(s, i) == i + 1 and evaluate(s, i + 1) == i
+            s = reflection_window(i, n)
+            assert length(AffinePermutation(s)) == 1
+            assert window_compose(s, s) == affine_identity(n).window
+            assert window_eval(s, i) == i + 1 and window_eval(s, i + 1) == i
     # the window-wrapping generator agrees with the run construction
-    assert simple_reflection(0, 2) == cyclically_decreasing(frozenset({0}), 2)
+    assert cyclically_decreasing_windows(2)[reflection_window(0, 2)] == 1
 
 
 def test_affine_stanley_identity_and_single_reflection():
@@ -183,21 +196,19 @@ def test_affine_stanley_degree_is_length():
 
 
 def test_affine_stanley_matches_factorization_oracle():
-    for n in (2, 3):
-        for window in bounded_windows(n):
-            f = AffinePermutation(window)
-            expansion = affine_stanley(f)
-            from rankcalc.partitions import all_partitions
-
-            for lam in all_partitions(length(f)):
-                assert expansion.coeff(lam) == factorization_counts(window, lam)
-    for window in ((5, 2, 7, 4), (6, 4, 5, 8, 7)):
+    rng = Random(2014)
+    # every bounded window for n <= 5, and a seeded sample of S_6
+    windows = [w for n in (1, 2, 3, 4, 5) for w in bounded_windows(n)]
+    assert len(windows) == 2 + 4 + 17 + 65 + 326
+    windows += [tuple(rng.sample(range(1, 7), 6)) for _ in range(30)]
+    for window in windows:
         f = AffinePermutation(window)
         expansion = affine_stanley(f)
-        from rankcalc.partitions import all_partitions
-
         for lam in all_partitions(length(f)):
-            assert expansion.coeff(lam) == factorization_counts(window, lam)
+            assert expansion.coeff(lam) == factorization_counts(window, lam), (
+                window,
+                lam,
+            )
 
 
 def test_tau_invariance_of_affine_stanley():
@@ -219,8 +230,6 @@ def test_stanley_examples():
 
 
 def test_stanley_agrees_with_embedded_oracle_small():
-    from rankcalc.partitions import all_partitions
-
     for n in (2, 3, 4):
         for w in iter_permutations(range(1, n + 1)):
             expansion = affine_stanley(embed(w))
