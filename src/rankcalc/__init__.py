@@ -40,7 +40,6 @@ from .partitions import (
 from .symfunc import (
     MonomialExpansion,
     SchurExpansion,
-    is_schur_nonnegative,
     kostka,
     monomial_to_schur,
     parse_expansion,
@@ -68,7 +67,6 @@ from .rankset import (
     codimension,
     containment_count,
     dimension,
-    is_stretched,
     minimal_stretch,
     rank_set,
     rank_set_of_affine,
@@ -80,8 +78,6 @@ from .grassmann import (
     SchubertClass,
     class_degree,
     class_product,
-    class_sub,
-    is_schubert_nonnegative,
     phi,
     point_class,
     schubert_class,

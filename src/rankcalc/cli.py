@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import ParseError, RankCalcError
 from .diagrams import parse_diagram, specht_schur
@@ -214,7 +215,7 @@ def _cmd_verify(args) -> int:
     reports = replay_counterexample() if args.scope == "paper" else run_all(max_n)
     for report in reports:
         if args.json:
-            print(json.dumps(report.to_dict()))
+            print(json.dumps(asdict(report)))
         else:
             status = "PASS" if report.passed else "FAIL"
             print(

@@ -195,30 +195,25 @@ def _compressed_rows(d: Diagram) -> list[frozenset[int]]:
     return [frozenset(row) for row in rows]
 
 
-def _as_skew(d: Diagram) -> tuple[Partition, Partition] | None:
+def _as_skew(d: Diagram) -> SchurExpansion | None:
     """Recognize the cells as a literal skew shape after compressing away
     empty rows and columns and sorting rows by leftmost cell (descending,
     ties by rightmost).  Row sorting is a permutation of the rows, which
     leaves the module unchanged."""
-    rows = _compressed_rows(d)
-    if not rows:
-        return ((), ())
     spans = []
-    for row in rows:
+    for row in _compressed_rows(d):
         lo, hi = min(row), max(row)
         if len(row) != hi - lo + 1:
             return None
         spans.append((lo, hi))
     spans.sort(key=lambda span: (-span[0], -span[1]))
-    outer, inner = [], []
-    for lo, hi in spans:
-        outer.append(hi)
-        inner.append(lo - 1)
+    outer = [hi for _, hi in spans]
+    inner = [lo - 1 for lo, _ in spans]
     if any(a < b for a, b in zip(outer, outer[1:])):
         return None
     if any(a < b for a, b in zip(inner, inner[1:])):
         return None
-    return (partition(outer), tuple(inner))
+    return skew_schur(partition(outer), tuple(inner))
 
 
 def _try_product_split(d: Diagram) -> SchurExpansion | None:
@@ -240,7 +235,16 @@ def _try_product_split(d: Diagram) -> SchurExpansion | None:
     return None
 
 
-def specht_schur(d: Diagram, family=None) -> SchurExpansion:
+# The recognizers each shape family tries in order, and the message raised
+# when none of them applies.
+_SHAPE_RULES = {
+    None: ((_as_skew, _try_product_split), "no decomposition rule for {}"),
+    "skew": ((_as_skew,), "{} is not a skew shape"),
+    "product": ((_try_product_split,), "{} admits no block split"),
+}
+
+
+def specht_schur(d: Diagram, family: str | None = None) -> SchurExpansion:
     """Schur expansion of the diagram module for a recognized family.
 
     family may be None (recognize a skew shape or a block product), "skew",
@@ -250,43 +254,28 @@ def specht_schur(d: Diagram, family=None) -> SchurExpansion:
     >>> specht_schur(diagram([(1, 1), (2, 2)])).text()
     '1*s[1,1] + 1*s[2]'
     """
-    if family is None:
-        if not d.cells:
-            return SchurExpansion.one()
-        skew = _as_skew(d)
-        if skew is not None:
-            return skew_schur(*skew)
-        product = _try_product_split(d)
-        if product is not None:
-            return product
-        raise UnsupportedDiagram(f"no decomposition rule for {sorted(d.cells)}")
-    if family == "skew":
-        skew = _as_skew(d)
-        if skew is None:
-            raise UnsupportedDiagram(f"{sorted(d.cells)} is not a skew shape")
-        return skew_schur(*skew)
-    if family == "product":
-        if not d.cells:
-            return SchurExpansion.one()
-        product = _try_product_split(d)
-        if product is None:
-            raise UnsupportedDiagram(f"{sorted(d.cells)} admits no block split")
-        return product
     if family == "dual":
         if d.ctx is None:
             raise UnsupportedDiagram("dual family needs the diagram's box")
         primal = specht_schur(complement_rotate(d, d.ctx))
         return SchurExpansion({complement(lam, d.ctx): c for lam, c in primal.items()})
     if isinstance(family, str) and family.startswith("perm:"):
-        family = ("perm", parse_permutation(family[len("perm:"):]))
-    if isinstance(family, tuple) and family and family[0] == "perm":
-        w = check_permutation(family[1])
+        w = parse_permutation(family[len("perm:"):])
         if d.cells != diagram_of_permutation(w).cells:
             raise UnsupportedDiagram(
                 f"{sorted(d.cells)} is not the inversion diagram of {w}"
             )
         return stanley(w)
-    raise UnsupportedDiagram(f"unknown family {family!r}")
+    if family not in _SHAPE_RULES:
+        raise UnsupportedDiagram(f"unknown family {family!r}")
+    if not d.cells:
+        return SchurExpansion.one()
+    rules, message = _SHAPE_RULES[family]
+    for rule in rules:
+        found = rule(d)
+        if found is not None:
+            return found
+    raise UnsupportedDiagram(message.format(sorted(d.cells)))
 
 
 def specht_dim(e: SchurExpansion) -> int:

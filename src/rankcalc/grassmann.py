@@ -1,10 +1,10 @@
 """The cohomology ring of the Grassmannian Gr(k, n) in the Schubert basis.
 
 A SchubertClass carries its (k, n) context inline and refuses arithmetic
-against another context: every change of Grassmannian must go through an
-explicit lift to symmetric functions followed by a fresh truncation, which
-is exactly how restriction along an inclusion of Grassmannians acts on the
-Schubert basis.
+against another context: every change of Grassmannian must go through
+symmetric functions (read the terms as a SchurExpansion) followed by a
+fresh truncation, which is exactly how restriction along an inclusion of
+Grassmannians acts on the Schubert basis.
 
 Text form mirrors the Schur expansion with letter 'o' and a context suffix:
 "1*o[2,2]@Gr(2,4)"; the zero class renders as "0@Gr(2,4)".
@@ -83,34 +83,16 @@ def phi(s: SchurExpansion, k: int, n: int) -> SchubertClass:
     return SchubertClass(k, n, {lam: c for lam, c in s.items() if fits(lam, k, n - k)})
 
 
-def lift(x: SchubertClass) -> SchurExpansion:
-    """Tautological lift to the Schur basis (sections of phi)."""
-    return SchurExpansion(x.terms())
-
-
 def _same_context(a: SchubertClass, b: SchubertClass) -> None:
     if a.context() != b.context():
         raise ContextMismatch(f"{a.context()} vs {b.context()}")
 
 
 def class_product(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """Product: lift, multiply by the Littlewood-Richardson rule, truncate."""
+    """Product: multiply the terms as Schur functions by the
+    Littlewood-Richardson rule, then truncate."""
     _same_context(a, b)
-    return phi(schur_product(lift(a), lift(b)), a.k, a.n)
-
-
-def class_add(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """Coefficientwise sum; raises ContextMismatch across Grassmannians."""
-    return a + b
-
-
-def class_sub(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """Coefficientwise difference; raises ContextMismatch across Grassmannians."""
-    return a - b
-
-
-def is_schubert_nonnegative(x: SchubertClass) -> bool:
-    return all(c >= 0 for _, c in x.items())
+    return phi(schur_product(a, b), a.k, a.n)
 
 
 def class_degree(x: SchubertClass) -> int:

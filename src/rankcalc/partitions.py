@@ -115,19 +115,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order on partitions of equal size (prefix sums compare)."""
-    if sum(lam) != sum(mu):
-        return False
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam[i] if i < len(lam) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
-
-
 def complement(lam: Partition, ctx: RectangleContext) -> Partition:
     """The 180-degree rotated complement of ``lam`` inside ``ctx``.
 

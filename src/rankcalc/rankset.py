@@ -12,8 +12,9 @@ permutation visible are all here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator
 
 from .errors import (
@@ -143,17 +144,10 @@ def stretch(m: RankSet) -> RankSet:
     )
 
 
-def is_stretched(m: RankSet) -> bool:
-    """True iff min(S) < max(T) for every ordered pair of intervals,
-    equivalently max of lefts < min of rights."""
-    if not m.intervals:
-        return True
-    return max(a for a, _ in m.intervals) < min(b for _, b in m.intervals)
-
-
 def minimal_stretch(m: RankSet) -> int:
     """Smallest nonnegative number of stretches after which the rank set is
-    stretched: max(0, 1 + max over pairs of (left end minus right end)).
+    stretched, that is, min(S) < max(T) for every ordered pair of intervals
+    S, T: max(0, 1 + max over pairs of (left end minus right end)).
 
     >>> minimal_stretch(rank_set([(1, 3), (3, 6), (4, 5)], 6))
     2
@@ -181,7 +175,7 @@ def w_of_rank_set(m: RankSet) -> Permutation:
     stretched = m
     for _ in range(steps):
         stretched = stretch(stretched)
-    assert is_stretched(stretched)
+    assert minimal_stretch(stretched) == 0
     f = affine_of_rank_set(stretched)
     b = stretched.intervals[0][1]
     y = evaluate(f, b - 1)
@@ -205,14 +199,27 @@ def rank_set_of_permutation(w: Permutation) -> RankSet:
 def all_rank_sets(k: int, n: int) -> Iterator[RankSet]:
     """All rank sets with exactly k intervals in [1, n], deterministically.
 
-    Right-endpoint sets run over sorted k-subsets; for each, the left
-    endpoints run over all ordered selections compatible with a <= b.
+    Right-endpoint sets run over sorted k-subsets and, for each, so do the
+    left-endpoint sets; the orderings of a left set are generated in
+    lexicographic order, placing at each right end b only a left a <= b.
     """
     for rights in combinations(range(1, n + 1), k):
         for lefts_set in combinations(range(1, n + 1), k):
-            for lefts in permutations(lefts_set):
-                if all(a <= b for a, b in zip(lefts, rights)):
-                    yield RankSet(tuple(zip(lefts, rights)), n)
+            for lefts in _placements(lefts_set, rights):
+                yield RankSet(tuple(zip(lefts, rights)), n)
+
+
+def _placements(lefts: tuple, rights: tuple) -> Iterator[tuple]:
+    """The orderings of the increasing tuple lefts whose i-th entry is at
+    most rights[i], in lexicographic order."""
+    if not rights:
+        yield ()
+        return
+    for i, a in enumerate(lefts):
+        if a > rights[0]:
+            return
+        for rest in _placements(lefts[:i] + lefts[i + 1:], rights[1:]):
+            yield (a,) + rest
 
 
 def rank_set_text(m: RankSet) -> str:
@@ -232,8 +239,6 @@ def parse_rank_set(text: str) -> RankSet:
     body = body.strip()
     intervals = []
     if body:
-        import re
-
         if not re.fullmatch(r"\[\d+,\d+\](,\[\d+,\d+\])*", body):
             raise ParseError(f"bad rank set body {body!r}")
         for pair in re.findall(r"\[(\d+),(\d+)\]", body):

@@ -97,6 +97,10 @@ class _Expansion:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def is_nonnegative(self) -> bool:
+        """True iff every stored coefficient is nonnegative."""
+        return all(c >= 0 for c in self._terms.values())
+
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._terms == other._terms
 
@@ -217,9 +221,10 @@ def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
     return SchurExpansion(out)
 
 
-def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
+def schur_product(a: _Expansion, b: _Expansion) -> SchurExpansion:
     """Product via the Littlewood-Richardson rule, extended bilinearly; c^lam_{mu nu}
     vanishes unless lam fits in l(mu) + l(nu) rows of mu_1 + nu_1 columns.
+    Only the terms of a and b are read, each as a Schur function.
 
     >>> schur_product(SchurExpansion.basis((1,)), SchurExpansion.basis((1,))).text()
     '1*s[1,1] + 1*s[2]'
@@ -245,11 +250,6 @@ def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
     inner = partition(inner)
     nus = box_partitions(sum(outer) - sum(inner), len(outer), sum(outer[:1]))
     return SchurExpansion((nu, lr_coefficient(outer, inner, nu)) for nu in nus)
-
-
-def is_schur_nonnegative(s: SchurExpansion) -> bool:
-    """True iff every stored coefficient is nonnegative."""
-    return all(c >= 0 for _, c in s.items())
 
 
 _TERM_RE = re.compile(r"^(\d+)\*([a-z])\[([^\[\]]*)\]$")

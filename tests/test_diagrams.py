@@ -125,7 +125,7 @@ def test_specht_schur_diagonal_is_regular_representation():
     w = (2, 1, 4, 3, 6, 5, 8, 7)
     spread = diagram_of_permutation(w)
     assert specht_schur(spread) == expected
-    assert specht_schur(spread, ("perm", w)) == expected
+    assert specht_schur(spread, "perm:21436587") == expected
     assert stanley(w) == expected
 
 
@@ -142,7 +142,7 @@ def test_specht_schur_families():
     with pytest.raises(UnsupportedDiagram):
         specht_schur(diagram([(1, 1)]), "dual")  # needs a box
     with pytest.raises(UnsupportedDiagram):
-        specht_schur(diagram([(1, 1)]), ("perm", (1, 2)))
+        specht_schur(diagram([(1, 1)]), "perm:12")
     with pytest.raises(UnsupportedDiagram):
         specht_schur(diagram([(1, 1)]), "nonsense")
 

@@ -10,7 +10,6 @@ from rankcalc.partitions import (
     complement,
     conjugate,
     contains,
-    dominates,
     lr_coefficient,
     mn_character,
     parse_partition,
@@ -192,13 +191,6 @@ def test_character_column_orthogonality():
                     mn_character(lam, mu) * mn_character(lam, nu) for lam in parts
                 )
                 assert total == (centralizer_order(mu) if mu == nu else 0)
-
-
-def test_dominance_basics():
-    assert dominates((4,), (2, 2))
-    assert not dominates((2, 2), (4,))
-    assert dominates((2, 2), (2, 2))
-    assert not dominates((3,), (2, 2))  # unequal sizes
 
 
 def test_text_round_trip():

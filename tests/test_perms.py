@@ -28,7 +28,6 @@ from rankcalc.perms import (
 from rankcalc.symfunc import (
     MonomialExpansion,
     SchurExpansion,
-    is_schur_nonnegative,
     monomial_to_schur,
 )
 
@@ -242,7 +241,7 @@ def test_stanley_stability_and_positivity():
         for w in iter_permutations(range(1, n + 1)):
             f = stanley(w)
             assert f == stanley(direct_sum(w, (1,)))
-            assert is_schur_nonnegative(f)
+            assert f.is_nonnegative()
 
 
 def test_affine_stanley_accepts_shifted_windows():

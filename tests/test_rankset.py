@@ -1,4 +1,4 @@
-from itertools import permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations
 
 import pytest
 
@@ -27,7 +27,6 @@ from rankcalc.rankset import (
     codimension,
     containment_count,
     dimension,
-    is_stretched,
     minimal_stretch,
     parse_rank_set,
     rank_set,
@@ -112,11 +111,20 @@ def test_stretch():
     assert stretch(rank_set([(1, 1)], 1)) == rank_set([(1, 2)], 2)
 
 
-def test_is_stretched():
-    assert is_stretched(rank_set([(1, 5), (3, 8), (4, 7)], 8))
-    assert not is_stretched(rank_set([(1, 3), (3, 6), (4, 5)], 6))
-    assert is_stretched(rank_set([(1, 2)], 3))
-    assert not is_stretched(rank_set([(2, 2)], 3))
+def _pairwise_stretched(m):
+    """The definition: min(S) < max(T) for every ordered pair of intervals."""
+    return all(a < b for a, _ in m.intervals for _, b in m.intervals)
+
+
+def test_stretched_iff_minimal_stretch_zero():
+    for m, stretched in (
+        (rank_set([(1, 5), (3, 8), (4, 7)], 8), True),
+        (rank_set([(1, 3), (3, 6), (4, 5)], 6), False),
+        (rank_set([(1, 2)], 3), True),
+        (rank_set([(2, 2)], 3), False),
+    ):
+        assert _pairwise_stretched(m) == stretched
+        assert (minimal_stretch(m) == 0) == stretched
 
 
 def test_minimal_stretch():
@@ -133,12 +141,12 @@ def test_minimal_stretch():
                 probe = m
                 for _ in range(steps):
                     probe = stretch(probe)
-                assert is_stretched(probe)
+                assert _pairwise_stretched(probe)
                 if steps:
                     back = m
                     for _ in range(steps - 1):
                         back = stretch(back)
-                    assert not is_stretched(back)
+                    assert not _pairwise_stretched(back)
 
 
 def test_w_of_rank_set_worked_example():
@@ -231,6 +239,22 @@ def test_correspondence_is_a_bijection():
                 assert av(f) == k
                 images.add(f.window)
             assert images == eligible.get(k, set()), (k, n)
+
+
+def test_all_rank_sets_matches_the_filter():
+    # the oracle is the enumeration the generator replaced: every ordering
+    # of every left-endpoint set, kept when each left is at most its right
+    for n in range(8):
+        for k in range(n + 1):
+            filtered = [
+                tuple(zip(lefts, rights))
+                for rights in combinations(range(1, n + 1), k)
+                for lefts_set in combinations(range(1, n + 1), k)
+                for lefts in iter_permutations(lefts_set)
+                if all(a <= b for a, b in zip(lefts, rights))
+            ]
+            generated = [m.intervals for m in all_rank_sets(k, n)]
+            assert generated == filtered, (k, n)
 
 
 def test_text_round_trip():

@@ -6,7 +6,6 @@ from rankcalc.partitions import all_partitions, lr_coefficient
 from rankcalc.symfunc import (
     MonomialExpansion,
     SchurExpansion,
-    is_schur_nonnegative,
     kostka,
     monomial_to_schur,
     parse_expansion,
@@ -145,10 +144,10 @@ def test_degree_additivity(a, b):
         assert all(sum(lam) == 5 for lam in product.support())
 
 
-def test_is_schur_nonnegative():
-    assert is_schur_nonnegative(s(2, 2) + s(3, 1))
-    assert not is_schur_nonnegative(s(2, 2) + s(3, 1) - s(4))
-    assert is_schur_nonnegative(SchurExpansion())
+def test_is_nonnegative():
+    assert (s(2, 2) + s(3, 1)).is_nonnegative()
+    assert not (s(2, 2) + s(3, 1) - s(4)).is_nonnegative()
+    assert SchurExpansion().is_nonnegative()
 
 
 def test_text_rendering():

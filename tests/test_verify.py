@@ -1,8 +1,12 @@
-from rankcalc.grassmann import class_add, class_sub, phi, schubert_class
+from dataclasses import asdict
+
+from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
 from rankcalc.verify import (
     CheckReport,
+    _suite_codim_length,
     _suite_complement_involution,
+    _suite_rank_round_trip,
     check_class_bound,
     known_diagonal_class,
     replay_counterexample,
@@ -42,12 +46,12 @@ def test_check_class_bound():
     assert report.passed
     # difference exactly sigma_22
     predicted = phi(stanley(w), 4, 8)
-    assert class_sub(predicted, actual) == schubert_class((2, 2), 4, 8)
+    assert predicted - actual == schubert_class((2, 2), 4, 8)
 
     exact = check_class_bound(w, 4, 8, predicted)
     assert exact.passed
 
-    inflated = class_add(predicted, schubert_class((4,), 4, 8))
+    inflated = predicted + schubert_class((4,), 4, 8)
     assert not check_class_bound(w, 4, 8, inflated).passed
 
 
@@ -106,9 +110,18 @@ def test_complement_involution_at_scale_7():
     assert (len(violations), sum(violations)) == (12869, 0)
 
 
+def test_rank_set_suites_at_scale_7():
+    # case counts recorded at scale 7 before rank sets were generated directly
+    for suite in (_suite_rank_round_trip, _suite_codim_length):
+        violations = list(suite(7))
+        assert (len(violations), sum(violations)) == (5294, 0), suite.__name__
+
+
 def test_report_serialization():
+    # verify --json prints asdict(report); its key order is the field order
     report = CheckReport("demo", "1", "1", True)
-    assert report.to_dict() == {
+    assert list(asdict(report)) == ["name", "expected", "actual", "passed"]
+    assert asdict(report) == {
         "name": "demo",
         "expected": "1",
         "actual": "1",
