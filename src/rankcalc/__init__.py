@@ -7,7 +7,7 @@ conversion; ordinary and (bounded) affine permutations with their Stanley
 symmetric functions; rank sets, their bounded affine permutations, and an
 ordinary permutation representing each rank variety class; the Schubert
 basis of the cohomology of Gr(k, n); diagram Specht module decompositions
-with a group-algebra brute-force oracle; and a verification suite that
+with a polytabloid brute-force oracle; and a verification suite that
 replays a documented counterexample to the predicted diagram class.
 """
 

@@ -11,7 +11,8 @@ Commands:
     verify suite [--max-n N]
 
 Exit codes: 0 success, 1 check failure, 2 parse error (including unknown
-flags), 3 domain error.  --json switches any command to a single JSON
+flags and families), 3 domain error (including input too deep for the
+recursive kernels).  --json switches any command to a single JSON
 object on stdout (verify streams one JSON object per line).
 """
 
@@ -249,6 +250,10 @@ def main(argv=None) -> int:
         return 2
     except RankCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # the recursive kernels go one level deeper per part, cell or factor
+        print(f"error: input too large for {args.command}", file=sys.stderr)
         return 3
 
 

@@ -5,11 +5,11 @@ Two independent routes to the Schur expansion of a diagram module live
 here.  specht_schur handles the recognized families: literal skew shapes
 (after sorting rows by leftmost cell), permutation diagrams given with
 their permutation, block products of supported parts, and box duals of
-supported diagrams.  specht_bruteforce builds the left ideal generated by
-the signed column-row symmetrizer inside the group algebra, extracts its
-character from traces in an exact echelon basis, and reads multiplicities
-off against the irreducible characters; it is the safety net the family
-rules are checked against.
+supported diagrams.  specht_bruteforce builds the module from its
+definition, the span of the polytabloids inside the tabloid module, takes
+its character from traces in an exact echelon basis, and reads
+multiplicities off against the irreducible characters; it is the safety
+net the family rules are checked against.
 
 Diagram text form: "(1,1),(2,2);box=4x4" (box optional).
 """
@@ -267,7 +267,7 @@ def specht_schur(d: Diagram, family: str | None = None) -> SchurExpansion:
             )
         return stanley(w)
     if family not in _SHAPE_RULES:
-        raise UnsupportedDiagram(f"unknown family {family!r}")
+        raise ParseError(f"unknown family {family!r}")
     if not d.cells:
         return SchurExpansion.one()
     rules, message = _SHAPE_RULES[family]
@@ -294,29 +294,12 @@ def specht_dim(e: SchurExpansion) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle through the group algebra.
+# Brute-force oracle: the span of the polytabloids.
 
-
-def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(x) = p(q(x)), 0-indexed tuples
-    return tuple(p[x] for x in q)
-
-
-def _block_subgroup(blocks: list[list[int]], m: int) -> list[tuple[int, ...]]:
-    """All permutations of 0..m-1 preserving each block pointwise-setwise."""
-    members = [tuple(range(m))]
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        extended = []
-        for base in members:
-            for image in iter_permutations(block):
-                g = list(base)
-                for slot, val in zip(block, image):
-                    g[slot] = base[val]
-                extended.append(tuple(g))
-        members = extended
-    return members
+# A tabloid gives each label 0..m-1 the row of its cell; a Row is a sparse
+# integer vector over tabloids.
+Tabloid = tuple[int, ...]
+Row = dict[Tabloid, int]
 
 
 def _cycle_type_rep(mu: Partition, m: int) -> tuple[int, ...]:
@@ -329,7 +312,7 @@ def _cycle_type_rep(mu: Partition, m: int) -> tuple[int, ...]:
     return tuple(rep)
 
 
-def _normalized_row(r: dict[int, int]) -> dict[int, int]:
+def _normalized_row(r: Row) -> Row:
     g = 0
     for v in r.values():
         g = gcd(g, v)
@@ -338,7 +321,7 @@ def _normalized_row(r: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in r.items()}
 
 
-def _combine_rows(r1: dict[int, int], r2: dict[int, int], col: int) -> dict[int, int]:
+def _combine_rows(r1: Row, r2: Row, col: Tabloid) -> Row:
     # r1 * r2[col] - r2 * r1[col], which zeroes column col
     a, b = r2[col], r1[col]
     out = {c: v * a for c, v in r1.items()}
@@ -351,7 +334,7 @@ def _combine_rows(r1: dict[int, int], r2: dict[int, int], col: int) -> dict[int,
     return out
 
 
-def _rref_insert(pivot_rows: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+def _rref_insert(pivot_rows: dict[Tabloid, Row], row: Row) -> None:
     """Insert a sparse integer row into a fully reduced echelon basis.
 
     Rows are gcd-normalized integer vectors; every stored row vanishes on
@@ -373,69 +356,48 @@ def _rref_insert(pivot_rows: dict[int, dict[int, int]], row: dict[int, int]) -> 
     pivot_rows[lead] = row
 
 
-def specht_bruteforce(d: Diagram) -> SchurExpansion:
-    """Decompose the diagram module by explicit group algebra computation.
+def _polytabloids(d: Diagram) -> Iterable[Row]:
+    """The polytabloid of every column-increasing filling of d, up to sign.
 
-    Fixes the row-reading bijective filling, forms the element
-    sum_{p in R} sum_{q in C} sgn(q) q p, spans its left ideal by exact
-    integer row reduction, takes the character from traces of left
-    multiplication in the echelon basis, and pairs against the irreducible
-    characters.  Limited to diagrams with at most 6 cells.
+    A filling puts label x in cell filling[x].  The fillings that put every
+    label in the same column differ by permutations within columns, so
+    together, signed by parity, they make one polytabloid: the signed sum
+    of the tabloids they produce.
+    """
+    vectors: dict[tuple[int, ...], Row] = {}
+    for filling in iter_permutations(sorted(d.cells)):
+        vector = vectors.setdefault(tuple(c for _, c in filling), {})
+        vector[tuple(r for r, _ in filling)] = (-1) ** inversions(filling)
+    return vectors.values()
+
+
+def specht_bruteforce(d: Diagram) -> SchurExpansion:
+    """Decompose the diagram module from its definition, the span of the
+    polytabloids inside the tabloid module.
+
+    Reduces the polytabloids of all column-increasing fillings to an exact
+    integer echelon basis, takes the character from traces in that basis,
+    and pairs it against the irreducible characters.  Limited to diagrams
+    with at most 6 cells.
 
     >>> specht_bruteforce(diagram([(1, 1), (1, 2), (1, 3)])).text()
     '1*s[3]'
     """
     m = d.size()
     if m > 6:
-        raise TooLarge(f"{m} cells; the group algebra route stops at 6")
-    if m == 0:
-        return SchurExpansion.one()
-    filling = {cell: idx for idx, cell in enumerate(sorted(d.cells))}
-    return _bruteforce_from_filling(d, filling)
-
-
-def _bruteforce_from_filling(d: Diagram, filling: dict[Cell, int]) -> SchurExpansion:
-    m = len(filling)
-    elements = sorted(iter_permutations(range(m)))
-    index = {g: i for i, g in enumerate(elements)}
-
-    def blocks_by(axis: int) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for (r, c), label in filling.items():
-            groups.setdefault((r, c)[axis], []).append(label)
-        return [sorted(v) for _, v in sorted(groups.items())]
-
-    row_group = _block_subgroup(blocks_by(0), m)
-    col_group = _block_subgroup(blocks_by(1), m)
-
-    generator: dict[int, int] = {}
-    for q in col_group:
-        sq = (-1) ** inversions(q)
-        for p in row_group:
-            idx = index[_perm_compose(q, p)]
-            generator[idx] = generator.get(idx, 0) + sq
-    generator = {i: v for i, v in generator.items() if v}
-
-    # left cosets of the column group scale the generator by a sign, so one
-    # spanning row per coset is enough
-    pivot_rows: dict[int, dict[int, int]] = {}
-    covered = [False] * len(elements)
-    for gi, g in enumerate(elements):
-        if covered[gi]:
-            continue
-        for q in col_group:
-            covered[index[_perm_compose(g, q)]] = True
-        row = {index[_perm_compose(g, elements[x])]: v for x, v in generator.items()}
-        _rref_insert(pivot_rows, row)
+        raise TooLarge(f"{m} cells; the polytabloid route stops at 6")
+    pivot_rows: dict[Tabloid, Row] = {}
+    for vector in _polytabloids(d):
+        _rref_insert(pivot_rows, vector)
 
     def character(sigma: tuple[int, ...]) -> Fraction:
-        sigma_inv = tuple(sorted(range(m), key=lambda x: sigma[x]))
+        # (sigma v)[t] = v[t o sigma]; any action convention gives the same
+        # class function
         total = Fraction(0)
-        for pc, prow in pivot_rows.items():
-            shifted = index[_perm_compose(sigma_inv, elements[pc])]
-            val = prow.get(shifted, 0)
+        for lead, row in pivot_rows.items():
+            val = row.get(tuple(lead[x] for x in sigma), 0)
             if val:
-                total += Fraction(val, prow[pc])
+                total += Fraction(val, row[lead])
         return total
 
     char_values = {

@@ -286,7 +286,7 @@ def test_criterion_9_specht_oracle_and_james_peel():
                     assert all(
                         c <= base.coeff(lam) for lam, c in moved.items()
                     ), (sorted(d.cells), i, j)
-    # permutation diagrams of size at most 5, against the group algebra
+    # permutation diagrams of size at most 5, against the polytabloid span
     for n in (2, 3, 4):
         for w in iter_permutations(range(1, n + 1)):
             d = diagram_of_permutation(w)

@@ -1,5 +1,5 @@
 import json
-
+import time
 
 from rankcalc.cli import main
 from rankcalc.grassmann import parse_class
@@ -78,6 +78,10 @@ def test_diagram_specht_command(capsys):
     code, _, err = run(capsys, "diagram-specht", "(1,1),(1,3),(2,2)")
     assert code == 3
     assert "error" in err
+    # an unknown family is a malformed flag, like a malformed perm: value
+    for family in ("nonsense", "perm:x"):
+        code, out, err = run(capsys, "diagram-specht", "(1,1)", "--family", family)
+        assert (code, out) == (2, "") and "parse error" in err
 
 
 def test_diagram_specht_dual_family(capsys):
@@ -157,6 +161,23 @@ def test_verify_suite(capsys):
     assert all(
         set(r) == {"name", "expected", "actual", "passed"} for r in reports
     )
+
+
+def test_inputs_too_deep_for_the_recursive_kernels(capsys):
+    # w0 in S_50, a long affine window, and a 1000-cell column recurse once
+    # per part, factor or cell; each is a domain error, not a crash
+    reproducers = (
+        ("stanley", ",".join(str(i) for i in range(50, 0, -1))),
+        ("affine-stanley", "1001,2,3,-996;n=4"),
+        ("diagram-specht", ",".join(f"({i},1)" for i in range(1, 1001))),
+    )
+    for argv in reproducers:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (3, ""), argv[0]
+        assert err.startswith("error: input too large") and "Traceback" not in err
+        assert elapsed < 2.0, (argv[0], elapsed)
 
 
 def test_unknown_flag_rejected(capsys):

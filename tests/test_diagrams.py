@@ -3,7 +3,6 @@ from itertools import combinations, permutations as iter_permutations
 import pytest
 
 from rankcalc.diagrams import (
-    _bruteforce_from_filling,
     complement_rotate,
     degeneration_check,
     diagram,
@@ -24,7 +23,7 @@ from rankcalc.errors import (
     TooLarge,
     UnsupportedDiagram,
 )
-from rankcalc.partitions import RectangleContext, all_partitions, syt_count
+from rankcalc.partitions import RectangleContext, all_partitions, conjugate, syt_count
 from rankcalc.perms import stanley
 from rankcalc.symfunc import SchurExpansion, schur_product
 
@@ -143,7 +142,7 @@ def test_specht_schur_families():
         specht_schur(diagram([(1, 1)]), "dual")  # needs a box
     with pytest.raises(UnsupportedDiagram):
         specht_schur(diagram([(1, 1)]), "perm:12")
-    with pytest.raises(UnsupportedDiagram):
+    with pytest.raises(ParseError):
         specht_schur(diagram([(1, 1)]), "nonsense")
 
 
@@ -223,7 +222,7 @@ def test_specht_bruteforce_agrees_with_rules_in_3x3():
 def test_specht_bruteforce_agrees_with_rules_in_wide_boxes():
     # aspect ratios the 3x3 sweep cannot see
     for rows, cols in ((2, 4), (4, 2)):
-        for d in box_diagrams(rows, cols, 5):
+        for d in box_diagrams(rows, cols, 6):
             try:
                 ruled = specht_schur(d)
             except UnsupportedDiagram:
@@ -254,17 +253,24 @@ def test_specht_bruteforce_six_cells():
     assert specht_schur(diag6) == expected
 
 
-def test_specht_bruteforce_filling_independence():
-    cells = [(1, 1), (1, 2), (2, 1), (3, 2)]
-    d = diagram(cells)
-    row_reading = {cell: i for i, cell in enumerate(sorted(d.cells))}
-    column_reading = {
-        cell: i
-        for i, cell in enumerate(sorted(d.cells, key=lambda rc: (rc[1], rc[0])))
-    }
-    assert _bruteforce_from_filling(d, row_reading) == _bruteforce_from_filling(
-        d, column_reading
-    )
+def test_transpose_tensors_with_sign():
+    # S^{D transposed} is S^D tensored with the sign module, which conjugates
+    # every partition of the decomposition
+    def conjugated(e):
+        return SchurExpansion({conjugate(lam): c for lam, c in e.items()})
+
+    ruled_pairs = 0
+    for d in [*box_diagrams(3, 3, 4), *box_diagrams(2, 3, 6)]:
+        t = diagram((c, r) for r, c in d.cells)
+        brute = specht_bruteforce(d)
+        assert specht_bruteforce(t) == conjugated(brute), sorted(d.cells)
+        try:
+            ruled, ruled_t = specht_schur(d), specht_schur(t)
+        except UnsupportedDiagram:
+            continue
+        ruled_pairs += 1
+        assert ruled_t == conjugated(ruled), sorted(d.cells)
+    assert ruled_pairs == 237  # pairs where a rule recognizes both diagrams
 
 
 def test_specht_bruteforce_row_column_permutation_invariance():
