@@ -13,6 +13,11 @@ this convention the Stanley function of a single row-shaped inversion
 pattern comes out as a complete homogeneous function, matching the Specht
 module of its Rothe diagram.  Factorizations are counted on raw windows by
 peeling simple reflections off the left, and the length is Shi's formula.
+
+The ordinary Stanley function is computed apart from factorizations, by
+Lascoux-Schuetzenberger transition down to vexillary (2143-avoiding) leaves
+w, where F_w = s_lambda(w) and lambda(w) is the Lehmer code of w sorted into
+decreasing order; so F_312 = s_2, as for the embedded window.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ParseError
-from .partitions import Partition, box_partitions
-from .symfunc import MonomialExpansion, SchurExpansion, monomial_to_schur
+from .partitions import Partition, box_partitions, conjugate, partition
+from .symfunc import MonomialExpansion, SchurExpansion
 
 Permutation = tuple[int, ...]
 
@@ -226,13 +231,64 @@ def affine_stanley(f: AffinePermutation) -> MonomialExpansion:
     )
 
 
+def _shape(w: Permutation) -> Partition:
+    """lambda(w): the Lehmer code of w sorted into decreasing order."""
+    code = (sum(1 for y in w[i + 1:] if y < x) for i, x in enumerate(w))
+    return partition(sorted(code, reverse=True))
+
+
+def _normalized(w) -> Permutation:
+    """w less its leading fixed points (the rest shifted down) and trailing
+    ones; F_w does not change."""
+    moved = [i for i, x in enumerate(w) if x != i + 1]
+    return tuple(x - moved[0] for x in w[moved[0]:moved[-1] + 1]) if moved else ()
+
+
+@lru_cache(maxsize=None)
+def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
+    """Schur terms of F_w for a normalized w (see stanley)."""
+    lam = _shape(w)
+    # w avoids 2143 exactly when lambda(w^-1) is the conjugate of lambda(w)
+    inverse = tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+    if _shape(inverse) == conjugate(lam):
+        return ((lam, 1),)
+    children: list[Permutation] = []
+    while not children:
+        r = max(i for i in range(len(w) - 1) if w[i] > w[i + 1])
+        s = max(j for j in range(r + 1, len(w)) if w[j] < w[r])
+        v = list(w)
+        v[r], v[s] = v[s], v[r]
+        low = 0  # the largest v(k) < v(r) met so far, for i < k < r
+        for i in range(r - 1, -1, -1):
+            if low < v[i] < v[r]:
+                u = v[:]
+                u[i], u[r] = u[r], u[i]
+                children.append(_normalized(u))
+                low = v[i]
+        w = (1,) + tuple(x + 1 for x in w)  # 1 x w, used if there is no child
+    total: dict[Partition, int] = {}
+    for u in children:
+        for mu, c in _transition(u):
+            total[mu] = total.get(mu, 0) + c
+    return tuple(total.items())
+
+
 def stanley(w: Permutation) -> SchurExpansion:
     """Stanley symmetric function of an ordinary permutation, in Schur form.
 
+    Transition: let r be the last descent of w, s the last j > r with
+    w(j) < w(r), and v = w t_rs.  Then F_w is the sum of F_{v t_ir} over the
+    i < r with v(i) < v(r) such that no v(k), i < k < r, lies between them;
+    if there is no such i, the same step runs on 1 x w, which has one.  A
+    vexillary w is a leaf, F_w = s_lambda(w).  Results are memoized per
+    permutation with leading and trailing fixed points dropped.
+
     >>> stanley((3, 2, 1)).text()
     '1*s[2,1]'
+    >>> stanley((2, 1, 4, 3)).text()
+    '1*s[1,1] + 1*s[2]'
     """
-    return monomial_to_schur(affine_stanley(embed(w)))
+    return SchurExpansion(_transition(_normalized(check_permutation(w))))
 
 
 def window_text(f: AffinePermutation) -> str:

@@ -3,11 +3,16 @@
 Everything here works on raw tuples and dicts and re-derives values
 straight from definitions (cell sets, explicit fillings, exhaustive
 factorization enumeration), deliberately avoiding the library's own
-algorithms so the two sides can check each other.
+algorithms so the two sides can check each other.  The one exception is
+``stanley``, which starts from the library's factorization counts: it is
+the route ``rankcalc.perms.stanley`` took before transition, kept to check
+transition against an unrelated algorithm.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+
+from rankcalc.perms import AffinePermutation, affine_stanley
 
 
 def transpose_cells(lam):
@@ -178,3 +183,51 @@ def bounded_windows(n):
             used.discard(value % n)
 
     yield from build(1, set(), [])
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n, top=None):
+    """All partitions of n with parts at most top, as a tuple."""
+    top = n if top is None else top
+    if n == 0:
+        return ((),)
+    return tuple(
+        (p,) + rest
+        for p in range(min(n, top), 0, -1)
+        for rest in partitions_of(n - p, p)
+    )
+
+
+@lru_cache(maxsize=None)
+def kostka_by_strips(lam, mu):
+    """Semistandard tableaux of shape lam and content mu, counted by
+    removing the horizontal strip lam/nu of the largest entry, that is
+    lam[i + 1] <= nu[i] <= lam[i] for every row."""
+    if not mu:
+        return int(not lam)
+    rows = [range(nxt, top + 1) for top, nxt in zip(lam, lam[1:] + (0,))]
+    return sum(
+        kostka_by_strips(tuple(p for p in nu if p), mu[:-1])
+        for nu in product(*rows)
+        if sum(lam) - sum(nu) == mu[-1]
+    )
+
+
+def stanley(w):
+    """F_w in the Schur basis, as {lam: coefficient}, by the route rankcalc
+    used before transition: the monomial coefficients count decreasing
+    factorizations (affine_stanley of the embedded window, itself checked
+    against factorization_counts), and the unitriangular Kostka system is
+    inverted by stripping the lex-greatest term, with Kostka numbers from
+    kostka_by_strips instead of the library's tableau enumeration."""
+    work = affine_stanley(AffinePermutation(w)).terms()
+    out = {}
+    while work:
+        lam = max(work)
+        out[lam] = c = work.pop(lam)
+        for mu in partitions_of(sum(lam)):
+            if mu != lam and (k := kostka_by_strips(lam, mu)):
+                work[mu] = work.get(mu, 0) - c * k
+                if not work[mu]:
+                    del work[mu]
+    return out

@@ -49,6 +49,26 @@ def test_rank_class_command(capsys):
     assert "degree = 1" in out
 
 
+def test_headline_slow_cases_answer_quickly(capsys):
+    # factorization counting with Kostka inversion needs 15.5 s and over
+    # 300 s for these; transition answers each at a single vexillary leaf
+    cases = (
+        (("stanley", "654321"), "1*s[5,4,3,2,1]\n"),
+        (
+            ("rank-class", "[1,2],[2,3],[3,4],[4,5],[5,6];n=10"),
+            "w_M = 1,6,7,8,9,10,2,3,4,5,11,12,13,14\n"
+            "class = 1*o[4,4,4,4,4]@Gr(5,10)\n"
+            "degree = 1\n",
+        ),
+    )
+    for argv, expected in cases:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (0, expected), argv[0]
+        assert elapsed < 1.0, (argv[0], elapsed)
+
+
 def test_rank_class_domain_and_parse_errors(capsys):
     code, _, err = run(capsys, "rank-class", ";n=3")
     assert code == 3
@@ -164,10 +184,15 @@ def test_verify_suite(capsys):
 
 
 def test_inputs_too_deep_for_the_recursive_kernels(capsys):
-    # w0 in S_50, a long affine window, and a 1000-cell column recurse once
-    # per part, factor or cell; each is a domain error, not a crash
+    # w0 in S_50 is vexillary, so transition answers it as a single leaf
+    w0 = ",".join(str(i) for i in range(50, 0, -1))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "stanley", w0)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "1*s[" + ",".join(map(str, range(49, 0, -1))) + "]\n")
+    # a long affine window and a 1000-cell column recurse once per factor or
+    # cell; each is a domain error, not a crash
     reproducers = (
-        ("stanley", ",".join(str(i) for i in range(50, 0, -1))),
         ("affine-stanley", "1001,2,3,-996;n=4"),
         ("diagram-specht", ",".join(f"({i},1)" for i in range(1, 1001))),
     )

@@ -1,4 +1,4 @@
-from itertools import permutations as iter_permutations
+from itertools import combinations, count, islice, permutations as iter_permutations
 from random import Random
 
 import pytest
@@ -37,6 +37,7 @@ from oracles import (
     factorization_counts,
     inversion_count,
     reflection_window,
+    stanley as stanley_oracle,
     window_compose,
     window_eval,
     window_inverse,
@@ -226,6 +227,40 @@ def test_stanley_examples():
     # single-row and single-column inversion diagrams
     assert stanley((3, 1, 2)) == s(2)
     assert stanley((2, 3, 1)) == s(1, 1)
+
+
+def test_stanley_matches_kostka_inverted_factorizations():
+    # transition against factorization counting and Kostka inversion:
+    # every permutation of S_1..S_6, and a seeded sample of S_7 and S_8
+    perms = [w for n in range(1, 7) for w in iter_permutations(range(1, n + 1))]
+    assert len(perms) == 873
+    rng = Random(1985)
+    for n in (7, 8):
+        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
+        perms += islice((w for w in sample if inversion_count(w) <= 14), 20)
+    assert len(perms) == 913
+    for w in perms:
+        assert stanley(w).terms() == stanley_oracle(w), w
+
+
+def test_stanley_leaves_and_branches():
+    # w0 is vexillary, and its leaf is the staircase
+    for n in range(1, 12):
+        w0 = tuple(range(n, 0, -1))
+        assert stanley(w0) == SchurExpansion.basis(tuple(range(n - 1, 0, -1)))
+    # 2143 is the smallest non-vexillary permutation: one transition step
+    assert stanley((2, 1, 4, 3)) == s(2) + s(1, 1)
+    assert stanley((1, 3, 2, 5, 4)) == s(2) + s(1, 1)
+    for n in (1, 2, 3, 4, 5):
+        for w in iter_permutations(range(1, n + 1)):
+            f = stanley(w)
+            assert stanley(direct_sum((1,), w)) == f  # F_{1 x w} = F_w
+            # F_w is a single Schur function exactly at the 2143-avoiders
+            avoids = not any(
+                w[b] < w[a] < w[d] < w[c]
+                for a, b, c, d in combinations(range(n), 4)
+            )
+            assert (list(f.terms().values()) == [1]) == avoids, w
 
 
 def test_stanley_agrees_with_embedded_oracle_small():

@@ -13,6 +13,8 @@ from rankcalc.symfunc import (
     schur_to_monomial,
 )
 
+from oracles import kostka_by_strips
+
 
 def s(*parts):
     return SchurExpansion.basis(tuple(parts))
@@ -71,6 +73,11 @@ def test_kostka_values():
     assert kostka((1, 1), (2,)) == 0
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((3, 1), (2, 1, 1)) == 2
+    # tableau enumeration against the horizontal-strip recursion
+    for n in range(8):
+        for lam in all_partitions(n):
+            for mu in all_partitions(n):
+                assert kostka(lam, mu) == kostka_by_strips(lam, mu), (lam, mu)
 
 
 def test_schur_to_monomial_examples():
