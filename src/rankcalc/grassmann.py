@@ -90,9 +90,11 @@ def _same_context(a: SchubertClass, b: SchubertClass) -> None:
 
 def class_product(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     """Product: multiply the terms as Schur functions by the
-    Littlewood-Richardson rule, then truncate."""
+    Littlewood-Richardson rule, computing only the terms that fit in
+    k x (n-k); phi being a ring map, this is phi of the whole product."""
     _same_context(a, b)
-    return phi(schur_product(a, b), a.k, a.n)
+    clipped = schur_product(a, b, box=(a.k, a.n - a.k))
+    return SchubertClass(a.k, a.n, clipped.terms())
 
 
 def class_degree(x: SchubertClass) -> int:

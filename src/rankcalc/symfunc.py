@@ -221,19 +221,27 @@ def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
     return SchurExpansion(out)
 
 
-def schur_product(a: _Expansion, b: _Expansion) -> SchurExpansion:
+def schur_product(
+    a: _Expansion, b: _Expansion, box: tuple[int, int] | None = None
+) -> SchurExpansion:
     """Product via the Littlewood-Richardson rule, extended bilinearly; c^lam_{mu nu}
     vanishes unless lam fits in l(mu) + l(nu) rows of mu_1 + nu_1 columns.
-    Only the terms of a and b are read, each as a Schur function.
+    Only the terms of a and b are read, each as a Schur function.  With
+    ``box=(rows, cols)`` only the terms fitting in that box are computed,
+    and no coefficient outside it is evaluated.
 
     >>> schur_product(SchurExpansion.basis((1,)), SchurExpansion.basis((1,))).text()
     '1*s[1,1] + 1*s[2]'
+    >>> schur_product(SchurExpansion.basis((1,)), SchurExpansion.basis((1,)), box=(1, 2)).text()
+    '1*s[2]'
     """
     data: dict[Partition, int] = {}
     for mu, cm in a.items():
         for nu, cn in b.items():
-            box = (len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1]))
-            for lam in box_partitions(sum(mu) + sum(nu), *box):
+            rows, cols = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
+            if box is not None:
+                rows, cols = min(rows, box[0]), min(cols, box[1])
+            for lam in box_partitions(sum(mu) + sum(nu), rows, cols):
                 c = lr_coefficient(lam, mu, nu)
                 if c:
                     data[lam] = data.get(lam, 0) + cm * cn * c

@@ -392,6 +392,8 @@ def _suite_mw_identity(max_n: int):
 
 
 def _suite_phi_ring_map(max_n: int):
+    """phi is a ring map: truncating the unclipped Schur product equals
+    class_product, which runs the LR rule only inside k x (n-k)."""
     rng = random.Random(20241)
     contexts = [(k, n) for n in range(2, min(max_n, 5) + 1) for k in range(1, n)]
     for k, n in contexts:

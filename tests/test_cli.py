@@ -51,7 +51,11 @@ def test_rank_class_command(capsys):
 
 def test_headline_slow_cases_answer_quickly(capsys):
     # factorization counting with Kostka inversion needs 15.5 s and over
-    # 300 s for these; transition answers each at a single vexillary leaf
+    # 300 s for the first two; transition answers each at a single
+    # vexillary leaf.  The LR rule over the whole support box needed 6.8 s
+    # for the Gr(6,12) zero.  Clipped to k x (n-k), that product (degree 48
+    # past the top degree 36) has no candidate term, and the top-degree
+    # Gr(9,18) one has the single candidate 9^9.
     cases = (
         (("stanley", "654321"), "1*s[5,4,3,2,1]\n"),
         (
@@ -60,13 +64,21 @@ def test_headline_slow_cases_answer_quickly(capsys):
             "class = 1*o[4,4,4,4,4]@Gr(5,10)\n"
             "degree = 1\n",
         ),
+        (
+            ("schubert", "mult", "6,6,6,3,3", "6,6,3,3,3,3", "--gr", "6,12"),
+            "0@Gr(6,12)\n",
+        ),
+        (
+            ("schubert", "mult", "9,9,6,5,4,3,2,2", "9,9,6,5,4,3,2,2,1", "--gr", "9,18"),
+            "0@Gr(9,18)\n",
+        ),
     )
     for argv, expected in cases:
         start = time.perf_counter()
         code, out, _ = run(capsys, *argv)
         elapsed = time.perf_counter() - start
-        assert (code, out) == (0, expected), argv[0]
-        assert elapsed < 1.0, (argv[0], elapsed)
+        assert (code, out) == (0, expected), argv
+        assert elapsed < 1.0, (argv, elapsed)
 
 
 def test_rank_class_domain_and_parse_errors(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rankcalc.errors import ContextMismatch, ParseError, ShapeTooLarge
@@ -11,7 +13,7 @@ from rankcalc.grassmann import (
     schubert_class,
     skew_complement_class,
 )
-from rankcalc.partitions import all_partitions
+from rankcalc.partitions import all_partitions, box_partitions, conjugate
 from rankcalc.symfunc import SchurExpansion, schur_product
 
 
@@ -146,6 +148,48 @@ def test_phi_is_ring_map_small():
                 assert phi(schur_product(a, b), k, n) == class_product(
                     phi(a, k, n), phi(b, k, n)
                 )
+
+
+def test_clipped_product_matches_unclipped_beyond_exhaustive_sizes():
+    # class_product never leaves k x (n-k); the oracle runs the LR rule over
+    # the whole support box and truncates afterwards.  Products of total
+    # degree about k^2/2 in Gr(k,2k) are the richest.
+    rng = random.Random(9)
+    sizes = []
+    for k in (5, 6, 7):
+        n, half = 2 * k, k * k // 2
+        for _ in range(4):
+            d = rng.randint(half // 2 - 1, half // 2 + 1)
+            mu = rng.choice(list(box_partitions(d, k, k)))
+            nu = rng.choice(list(box_partitions(half - d, k, k)))
+            a = schubert_class(mu, k, n)
+            b = schubert_class(nu, k, n) - 2 * schubert_class(conjugate(nu), k, n)
+            product = class_product(a, b)
+            assert product == phi(schur_product(a, b), k, n), (k, mu, nu)
+            sizes.append(len(product.terms()))
+    assert max(sizes) >= 30
+
+
+def test_clipped_product_in_edge_contexts():
+    # Gr(0,n) and Gr(n,n) clip to a box without rows or without columns,
+    # Gr(1,n) to a single row; past the top degree k(n-k) a product is zero
+    for k, n in ((0, 0), (0, 3), (3, 3), (1, 4), (2, 4)):
+        top = k * (n - k)
+        shapes = [lam for d in range(top + 1) for lam in box_partitions(d, k, n - k)]
+        for mu in shapes:
+            for nu in shapes:
+                a, b = schubert_class(mu, k, n), schubert_class(nu, k, n)
+                product = class_product(a, b)
+                assert product == phi(schur_product(a, b), k, n), (k, n, mu, nu)
+                if sum(mu) + sum(nu) > top:
+                    assert product.is_zero()
+    one = SchubertClass.one(0, 3)
+    assert class_product(one, one).text() == "1*o[-]@Gr(0,3)"
+    sigma = schubert_class((2,), 1, 4), schubert_class((1,), 1, 4)
+    assert class_product(*sigma) == point_class(1, 4)
+    for box in ((0, 3), (3, 0), (0, 0)):
+        assert schur_product(s(1), s(1), box=box).is_zero()
+        assert schur_product(s(), s(), box=box) == s()
 
 
 def test_pieri_iteration_reaches_degree_times_point():
