@@ -9,6 +9,7 @@ ordinary permutation representing each rank variety class; the Schubert
 basis of the cohomology of Gr(k, n); diagram Specht module decompositions
 with a polytabloid brute-force oracle; and a verification suite that
 replays a documented counterexample to the predicted diagram class.
+clear_caches() empties every memo table.
 """
 
 from .errors import (
@@ -97,5 +98,15 @@ from .diagrams import (
     staircase_pattern,
 )
 from .verify import CheckReport, check_class_bound, replay_counterexample, run_all
+from . import diagrams, perms, symfunc
+
+
+def clear_caches() -> None:
+    """Empty every memo table in the package."""
+    for table in (all_partitions, syt_count, lr_coefficient, mn_character, kostka,
+                  perms._length, perms._factorization_count, perms._transition,
+                  symfunc._schur_monomial_row, diagrams._polytabloid_expansion):
+        table.cache_clear()
+
 
 __version__ = "0.1.0"

@@ -7,9 +7,10 @@ here.  specht_schur handles the recognized families: literal skew shapes
 their permutation, block products of supported parts, and box duals of
 supported diagrams.  specht_bruteforce builds the module from its
 definition, the span of the polytabloids inside the tabloid module, takes
-its character from traces in an exact echelon basis, and reads
-multiplicities off against the irreducible characters; it is the safety
-net the family rules are checked against.
+its character from integer-scaled traces in an exact echelon basis, and
+reads multiplicities off against the irreducible characters; it is the
+safety net the family rules are checked against, memoized on the cell set
+in a bounded table.
 
 Diagram text form: "(1,1),(2,2);box=4x4" (box optional).
 """
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as iter_permutations
-from math import gcd
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 from .errors import (
@@ -128,6 +129,15 @@ def staircase_pattern(w: Permutation) -> Diagram:
     return Diagram(cells, RectangleContext(n, 2 * n))
 
 
+def _transfer(cells: set[Cell], i: int, j: int) -> None:
+    """Move, in place, every cell of column i whose row has column j empty."""
+    if i == j:
+        raise ValueError("source and target columns must differ")
+    for r in [r for r, c in cells if c == i and (r, j) not in cells]:
+        cells.remove((r, i))
+        cells.add((r, j))
+
+
 def james_peel_move(d: Diagram, i: int, j: int) -> Diagram:
     """Column transfer: in every row whose column-j slot is empty, the cell
     in column i (if any) moves to column j.
@@ -135,14 +145,8 @@ def james_peel_move(d: Diagram, i: int, j: int) -> Diagram:
     >>> sorted(james_peel_move(diagram([(1, 1), (3, 1), (2, 2), (3, 2)]), 1, 2).cells)
     [(1, 2), (2, 2), (3, 1), (3, 2)]
     """
-    if i == j:
-        raise ValueError("source and target columns must differ")
     cells = set(d.cells)
-    rows = {r for r, _ in cells}
-    for r in rows:
-        if (r, j) not in cells and (r, i) in cells:
-            cells.discard((r, i))
-            cells.add((r, j))
+    _transfer(cells, i, j)
     return Diagram(frozenset(cells), d.ctx)
 
 
@@ -155,18 +159,21 @@ def degeneration_check(w: Permutation) -> bool:
     """
     w = check_permutation(w)
     n = len(w)
-    pattern = staircase_pattern(w)
+    pattern = set(staircase_pattern(w).cells)
     for i in range(n, 0, -1):
-        pattern = james_peel_move(pattern, n + i, w[i - 1])
-    inv = diagram_of_permutation(w)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if ((i, j) in pattern.cells) == ((i, j) in inv.cells):
-                return False
-    for i, j in pattern.cells:
-        if j > n and not (inv.row(i) <= inv.row(j - n)):
-            return False
-    return True
+        _transfer(pattern, n + i, w[i - 1])
+    return _degeneration_holds(w, pattern)
+
+
+def _degeneration_holds(w: Permutation, pattern: set[Cell]) -> bool:
+    """The two structure properties degeneration_check tests."""
+    n = len(w)
+    inv = diagram_of_permutation(w).cells
+    rows = [{c for r, c in inv if r == i} for i in range(n + 1)]
+    square = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    return pattern & square == square - inv and all(
+        rows[i] <= rows[j - n] for i, j in pattern if j > n
+    )
 
 
 def product_diagram(d1: Diagram, ctx1: RectangleContext, d2: Diagram) -> Diagram:
@@ -356,8 +363,8 @@ def _rref_insert(pivot_rows: dict[Tabloid, Row], row: Row) -> None:
     pivot_rows[lead] = row
 
 
-def _polytabloids(d: Diagram) -> Iterable[Row]:
-    """The polytabloid of every column-increasing filling of d, up to sign.
+def _polytabloids(cells: frozenset[Cell]) -> Iterable[Row]:
+    """The polytabloid of each column-increasing filling, up to sign.
 
     A filling puts label x in cell filling[x].  The fillings that put every
     label in the same column differ by permutations within columns, so
@@ -365,7 +372,7 @@ def _polytabloids(d: Diagram) -> Iterable[Row]:
     of the tabloids they produce.
     """
     vectors: dict[tuple[int, ...], Row] = {}
-    for filling in iter_permutations(sorted(d.cells)):
+    for filling in iter_permutations(sorted(cells)):
         vector = vectors.setdefault(tuple(c for _, c in filling), {})
         vector[tuple(r for r, _ in filling)] = (-1) ** inversions(filling)
     return vectors.values()
@@ -376,9 +383,10 @@ def specht_bruteforce(d: Diagram) -> SchurExpansion:
     polytabloids inside the tabloid module.
 
     Reduces the polytabloids of all column-increasing fillings to an exact
-    integer echelon basis, takes the character from traces in that basis,
-    and pairs it against the irreducible characters.  Limited to diagrams
-    with at most 6 cells.
+    integer echelon basis, takes the character from integer-scaled traces
+    in that basis, and pairs it against the irreducible characters.  Limited
+    to diagrams with at most 6 cells; memoized, in a bounded table, on the
+    exact cell set (not the box).
 
     >>> specht_bruteforce(diagram([(1, 1), (1, 2), (1, 3)])).text()
     '1*s[3]'
@@ -386,33 +394,35 @@ def specht_bruteforce(d: Diagram) -> SchurExpansion:
     m = d.size()
     if m > 6:
         raise TooLarge(f"{m} cells; the polytabloid route stops at 6")
+    return _polytabloid_expansion(d.cells)
+
+
+@lru_cache(maxsize=4096)
+def _polytabloid_expansion(cells: frozenset[Cell]) -> SchurExpansion:
+    m = len(cells)
     pivot_rows: dict[Tabloid, Row] = {}
-    for vector in _polytabloids(d):
+    for vector in _polytabloids(cells):
         _rref_insert(pivot_rows, vector)
-
-    def character(sigma: tuple[int, ...]) -> Fraction:
-        # (sigma v)[t] = v[t o sigma]; any action convention gives the same
-        # class function
-        total = Fraction(0)
-        for lead, row in pivot_rows.items():
-            val = row.get(tuple(lead[x] for x in sigma), 0)
-            if val:
-                total += Fraction(val, row[lead])
-        return total
-
-    char_values = {
-        mu: character(_cycle_type_rep(mu, m)) for mu in all_partitions(m)
-    }
-    data = {}
-    for lam in all_partitions(m):
-        mult = sum(
-            char_values[mu] * mn_character(lam, mu) / centralizer_order(mu)
-            for mu in all_partitions(m)
+    # Each pivot row contributes row[t o sigma] / row[lead] to the trace of
+    # sigma (any action convention gives the same class function); scale by
+    # the lcm of the pivot entries and by the class size m!/z_mu.
+    scale = lcm(*(row[lead] for lead, row in pivot_rows.items()))
+    traces = {}
+    for mu in all_partitions(m):
+        sigma = _cycle_type_rep(mu, m)
+        trace = sum(
+            row.get(tuple(lead[x] for x in sigma), 0) * (scale // row[lead])
+            for lead, row in pivot_rows.items()
         )
-        if mult.denominator != 1 or mult < 0:
-            raise AssertionError(f"bad multiplicity {mult} on {lam}")
+        traces[mu] = trace * (factorial(m) // centralizer_order(mu))
+    data, denominator = {}, scale * factorial(m)
+    for lam in all_partitions(m):
+        total = sum(t * mn_character(lam, mu) for mu, t in traces.items())
+        mult, rest = divmod(total, denominator)
+        if rest or mult < 0:
+            raise AssertionError(f"bad multiplicity {total}/{denominator} on {lam}")
         if mult:
-            data[lam] = int(mult)
+            data[lam] = mult
     expansion = SchurExpansion(data)
     assert specht_dim(expansion) == len(pivot_rows)
     return expansion

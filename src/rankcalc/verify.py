@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations as iter_permutations
 
 from .diagrams import (
-    Diagram,
     diagram,
     complement_rotate,
     degeneration_check,
@@ -438,20 +437,13 @@ def _all_box_diagrams(rows: int, cols: int, max_size: int):
 
 
 def _suite_james_peel(max_n: int):
-    cache: dict[frozenset, SchurExpansion] = {}
-
-    def brute(d: Diagram) -> SchurExpansion:
-        if d.cells not in cache:
-            cache[d.cells] = specht_bruteforce(d)
-        return cache[d.cells]
-
     for d in _all_box_diagrams(3, 3, min(max_n, 4)):
-        base = brute(d)
+        base = specht_bruteforce(d)
         for i in range(1, 4):
             for j in range(1, 4):
                 if i == j:
                     continue
-                moved = brute(james_peel_move(d, i, j))
+                moved = specht_bruteforce(james_peel_move(d, i, j))
                 yield any(c > base.coeff(lam) for lam, c in moved.items())
 
 

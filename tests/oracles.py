@@ -3,15 +3,21 @@
 Everything here works on raw tuples and dicts and re-derives values
 straight from definitions (cell sets, explicit fillings, exhaustive
 factorization enumeration), deliberately avoiding the library's own
-algorithms so the two sides can check each other.  The one exception is
-``stanley``, which starts from the library's factorization counts: it is
-the route ``rankcalc.perms.stanley`` took before transition, kept to check
-transition against an unrelated algorithm.
+algorithms so the two sides can check each other.  Two exceptions start
+from library pieces.  ``stanley`` starts from the library's factorization
+counts: it is the route ``rankcalc.perms.stanley`` took before transition,
+kept to check transition against an unrelated algorithm.
+``specht_by_fractions`` starts from the library's polytabloid echelon basis
+and pairs characters in ``Fraction`` arithmetic, the route
+``rankcalc.diagrams.specht_bruteforce`` took before its integer pairing.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from rankcalc.diagrams import _cycle_type_rep, _polytabloids, _rref_insert
+from rankcalc.partitions import all_partitions, centralizer_order, mn_character
 from rankcalc.perms import AffinePermutation, affine_stanley
 
 
@@ -231,3 +237,39 @@ def stanley(w):
                 if not work[mu]:
                     del work[mu]
     return out
+
+
+def specht_by_fractions(cells):
+    """The diagram module of a cell set as {lam: multiplicity}: traces of
+    the echelon basis summed as fractions, paired with the irreducible
+    characters divided by the centralizer orders."""
+    m = len(cells)
+    pivot_rows = {}
+    for vector in _polytabloids(frozenset(cells)):
+        _rref_insert(pivot_rows, vector)
+
+    def character(sigma):
+        total = Fraction(0)
+        for lead, row in pivot_rows.items():
+            total += Fraction(row.get(tuple(lead[x] for x in sigma), 0), row[lead])
+        return total
+
+    chars = {mu: character(_cycle_type_rep(mu, m)) for mu in all_partitions(m)}
+    out = {}
+    for lam in all_partitions(m):
+        mult = sum(
+            chars[mu] * mn_character(lam, mu) / centralizer_order(mu)
+            for mu in chars
+        )
+        assert mult.denominator == 1 and mult >= 0, (lam, mult)
+        if mult:
+            out[lam] = int(mult)
+    return out
+
+
+def column_transfer(cells, i, j):
+    """The cells after moving each cell of column i to column j in every
+    row whose column j is empty."""
+    return frozenset(
+        (r, j) if c == i and (r, j) not in cells else (r, c) for r, c in cells
+    )

@@ -2,6 +2,8 @@ from itertools import combinations, permutations as iter_permutations
 
 import pytest
 
+import oracles
+from rankcalc import diagrams
 from rankcalc.diagrams import (
     complement_rotate,
     degeneration_check,
@@ -106,6 +108,40 @@ def test_degeneration_check():
             assert degeneration_check(w)
 
 
+def test_degeneration_transfers_match_james_peel_fold(monkeypatch):
+    # degeneration_check is True on every permutation, so compare the
+    # pattern it tests, cell for cell, with two folds over the staircase
+    seen = []
+    monkeypatch.setattr(
+        diagrams,
+        "_degeneration_holds",
+        lambda w, pattern: seen.append(frozenset(pattern)) or True,
+    )
+    for n in range(1, 7):
+        for w in iter_permutations(range(1, n + 1)):
+            seen.clear()
+            assert degeneration_check(w)
+            by_moves = staircase_pattern(w)
+            by_oracle = by_moves.cells
+            for i in range(n, 0, -1):
+                by_moves = james_peel_move(by_moves, n + i, w[i - 1])
+                by_oracle = oracles.column_transfer(by_oracle, n + i, w[i - 1])
+            assert seen == [by_moves.cells] == [by_oracle], w
+
+
+def test_degeneration_structure_rejects_broken_patterns():
+    # w = 21: the transfers leave the staircase pattern of w as it is
+    w = (2, 1)
+    good = {(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)}
+    assert good == staircase_pattern(w).cells
+    assert diagrams._degeneration_holds(w, good)
+    # (1, 4) needs row 1 of the inversion diagram, {1}, inside row 2, {}
+    assert not diagrams._degeneration_holds(w, good | {(1, 4)})
+    # the first two columns must be the complement of the inversion diagram
+    assert not diagrams._degeneration_holds(w, good - {(1, 2)})
+    assert not diagrams._degeneration_holds(w, good | {(1, 1)})
+
+
 def test_product_diagram():
     d = diagram([(1, 1), (2, 2)])
     assert product_diagram(diagram([]), RectangleContext(0, 0), d).cells == d.cells
@@ -208,6 +244,36 @@ def test_specht_bruteforce_small_shapes():
     assert specht_bruteforce(diagram([(1, 2), (2, 1), (2, 2)])) == s(2, 1)
     with pytest.raises(TooLarge):
         specht_bruteforce(diagram([(1, c) for c in range(1, 8)]))
+
+
+def test_specht_bruteforce_matches_fraction_pairing():
+    # every diagram of the 3x3 box with at most 5 cells, and the Rothe
+    # diagrams of S_<=4, which reach the 6-cell bound
+    sweep = [*box_diagrams(3, 3, 5)] + [
+        diagram_of_permutation(w)
+        for n in range(1, 5)
+        for w in iter_permutations(range(1, n + 1))
+    ]
+    assert len(sweep) == 382 + 33
+    for d in sweep:
+        expected = oracles.specht_by_fractions(d.cells)
+        assert specht_bruteforce(d).terms() == expected, sorted(d.cells)
+
+
+def test_specht_bruteforce_memo():
+    memo = diagrams._polytabloid_expansion
+    assert memo.cache_info().maxsize is not None
+    memo.cache_clear()
+    cells = [(1, 1), (2, 2), (2, 3)]
+    plain = specht_bruteforce(diagram(cells))
+    boxed = specht_bruteforce(diagram(cells, RectangleContext(3, 3)))
+    assert boxed == plain == s(2, 1) + s(3)
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    # the size bound fires before the table is looked at
+    with pytest.raises(TooLarge):
+        specht_bruteforce(diagram([(1, c) for c in range(1, 8)]))
+    assert memo.cache_info() == info
 
 
 def test_specht_bruteforce_agrees_with_rules_in_3x3():

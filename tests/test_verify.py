@@ -1,12 +1,20 @@
+import pkgutil
 from dataclasses import asdict
+from importlib import import_module
 
+import rankcalc
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
 from rankcalc.verify import (
     CheckReport,
+    _suite_box_duality,
     _suite_codim_length,
     _suite_complement_involution,
+    _suite_degeneration,
+    _suite_james_peel,
     _suite_rank_round_trip,
+    _suite_row_col_invariance,
+    _suite_specht_oracle,
     check_class_bound,
     known_diagonal_class,
     replay_counterexample,
@@ -115,6 +123,43 @@ def test_rank_set_suites_at_scale_7():
     for suite in (_suite_rank_round_trip, _suite_codim_length):
         violations = list(suite(7))
         assert (len(violations), sum(violations)) == (5294, 0), suite.__name__
+
+
+def test_diagram_suites_at_scale_7():
+    violations = list(_suite_degeneration(7))
+    assert (len(violations), sum(violations)) == (873, 0)
+    # the Specht suites cap their diagrams at 4 cells, so at scale 7 they
+    # keep the case counts of run_all(4), however much the oracle's memo
+    # already holds
+    cases = dict(RUN_ALL_4_CASES)
+    for name, suite in (
+        ("diagrams/james-peel-monotonicity", _suite_james_peel),
+        ("diagrams/specht-oracle-agreement", _suite_specht_oracle),
+        ("diagrams/box-duality", _suite_box_duality),
+        ("diagrams/row-col-invariance", _suite_row_col_invariance),
+    ):
+        violations = list(suite(7))
+        assert (len(violations), sum(violations)) == (cases[name], 0), name
+
+
+def _memo_tables():
+    """Every lru_cache table in the package, found by walking its modules."""
+    tables = {}
+    for info in pkgutil.iter_modules(rankcalc.__path__, "rankcalc."):
+        for value in vars(import_module(info.name)).values():
+            if hasattr(value, "cache_info"):
+                tables[value.__module__ + "." + value.__qualname__] = value
+    return tables
+
+
+def test_clear_caches_empties_every_table():
+    tables = _memo_tables()
+    oracle = tables["rankcalc.diagrams._polytabloid_expansion"]
+    run_all(3)
+    assert oracle.cache_info().currsize
+    rankcalc.clear_caches()
+    sizes = {name: table.cache_info().currsize for name, table in tables.items()}
+    assert sizes == dict.fromkeys(tables, 0)
 
 
 def test_report_serialization():
