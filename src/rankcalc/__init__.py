@@ -12,6 +12,8 @@ replays a documented counterexample to the predicted diagram class.
 clear_caches() empties every memo table.
 """
 
+import sys
+
 from .errors import (
     ContextMismatch,
     EmptyRankSet,
@@ -98,15 +100,15 @@ from .diagrams import (
     staircase_pattern,
 )
 from .verify import CheckReport, check_class_bound, replay_counterexample, run_all
-from . import diagrams, perms, symfunc
 
 
 def clear_caches() -> None:
-    """Empty every memo table in the package."""
-    for table in (all_partitions, syt_count, lr_coefficient, mn_character, kostka,
-                  perms._length, perms._factorization_count, perms._transition,
-                  symfunc._schur_monomial_row, diagrams._polytabloid_expansion):
-        table.cache_clear()
+    """Empty every memo table: each ``cache_clear`` in a loaded rankcalc module."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rankcalc."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 __version__ = "0.1.0"

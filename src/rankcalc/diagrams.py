@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial, gcd, lcm
+from operator import index
 from typing import Iterable
 
 from .errors import (
@@ -61,19 +62,13 @@ class Diagram:
     ctx: RectangleContext | None = None
 
     def __post_init__(self):
-        cells = frozenset((int(r), int(c)) for r, c in self.cells)
+        cells = frozenset((index(r), index(c)) for r, c in self.cells)
         object.__setattr__(self, "cells", cells)
         for r, c in cells:
             if r < 1 or c < 1:
                 raise ValueError(f"cell coordinates must be positive: {(r, c)}")
             if self.ctx is not None and (r > self.ctx.rows or c > self.ctx.cols):
                 raise ValueError(f"cell {(r, c)} outside box {self.ctx}")
-
-    def size(self) -> int:
-        return len(self.cells)
-
-    def row(self, r: int) -> frozenset[int]:
-        return frozenset(c for rr, c in self.cells if rr == r)
 
     def __repr__(self) -> str:
         return f"Diagram({sorted(self.cells)!r}, ctx={self.ctx!r})"
@@ -391,7 +386,7 @@ def specht_bruteforce(d: Diagram) -> SchurExpansion:
     >>> specht_bruteforce(diagram([(1, 1), (1, 2), (1, 3)])).text()
     '1*s[3]'
     """
-    m = d.size()
+    m = len(d.cells)
     if m > 6:
         raise TooLarge(f"{m} cells; the polytabloid route stops at 6")
     return _polytabloid_expansion(d.cells)

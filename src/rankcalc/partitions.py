@@ -2,8 +2,8 @@
 
 A partition is a plain tuple of weakly decreasing positive integers, e.g.
 ``(4, 4, 2, 2)``; ``()`` is the empty partition.  All counting here is exact
-integer arithmetic: hook length products are evaluated as rationals and
-asserted integral, Littlewood-Richardson coefficients are obtained by
+integer arithmetic: the hook length product is formed as an integer and
+asserted to divide n!, Littlewood-Richardson coefficients are obtained by
 enumerating the tableaux they count, and characters come from the
 border-strip recursion.
 
@@ -13,9 +13,9 @@ partition renders as "-".
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ShapeTooLarge, SizeMismatch
@@ -38,7 +38,7 @@ def partition(parts: Iterable[int]) -> Partition:
     >>> partition(())
     ()
     """
-    out = tuple(int(p) for p in parts)
+    out = tuple(index(p) for p in parts)
     cut = len(out)
     while cut and out[cut - 1] == 0:
         cut -= 1
@@ -49,13 +49,6 @@ def partition(parts: Iterable[int]) -> Partition:
         if a < b:
             raise ValueError(f"parts not weakly decreasing: {out}")
     return out
-
-
-def is_partition(obj) -> bool:
-    try:
-        return isinstance(obj, tuple) and partition(obj) == obj
-    except (TypeError, ValueError):
-        return False
 
 
 def sort_key(lam: Partition) -> tuple[int, Partition]:
@@ -130,32 +123,23 @@ def complement(lam: Partition, ctx: RectangleContext) -> Partition:
     return partition(cols - padded[rows - 1 - i] for i in range(rows))
 
 
-def hook_lengths(lam: Partition) -> list[int]:
-    conj = conjugate(lam)
-    return [
-        lam[i] + conj[j] - i - j - 1
-        for i in range(len(lam))
-        for j in range(lam[i])
-    ]
-
-
 @lru_cache(maxsize=None)
 def syt_count(lam: Partition) -> int:
     """Number of standard fillings of ``lam``, via the hook length product.
 
-    The quotient is formed in exact rational arithmetic and asserted to be
-    an integer, which guards against a corrupted hook computation.
+    The hook product is asserted to divide n! exactly, which guards against
+    a corrupted hook computation.
 
     >>> syt_count((4, 4, 2, 2))
     2640
     """
     n = sum(lam)
-    if n == 0:
-        return 1
-    value = Fraction(factorial(n), prod(hook_lengths(lam)))
-    if value.denominator != 1:
+    conj = conjugate(lam)
+    hooks = prod(p + conj[j] - i - j - 1 for i, p in enumerate(lam) for j in range(p))
+    count, rest = divmod(factorial(n), hooks)
+    if rest:
         raise AssertionError(f"hook product does not divide {n}! for {lam}")
-    return int(value)
+    return count
 
 
 def _count_tableaux(
@@ -220,7 +204,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     3
     """
     for p in (lam, mu, nu):
-        if not is_partition(p):
+        if partition(p) != p:
             raise ValueError(f"not a partition: {p}")
     if sum(mu) + sum(nu) != sum(lam):
         return 0

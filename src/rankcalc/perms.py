@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 from .errors import ParseError
 from .partitions import Partition, box_partitions, conjugate, partition
@@ -39,7 +40,7 @@ def check_permutation(w) -> Permutation:
     >>> check_permutation((3, 1, 5, 2, 4))
     (3, 1, 5, 2, 4)
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(index(x) for x in w)
     if not w or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not one-line notation on 1..n: {w}")
     return w
@@ -85,7 +86,7 @@ class AffinePermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        window = tuple(int(x) for x in self.window)
+        window = tuple(index(x) for x in self.window)
         object.__setattr__(self, "window", window)
         n = len(window)
         if n == 0:

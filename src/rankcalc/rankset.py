@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterator
 
 from .errors import (
@@ -44,7 +45,7 @@ class RankSet:
 
     def __post_init__(self):
         ivs = tuple(
-            sorted(((int(a), int(b)) for a, b in self.intervals), key=lambda iv: iv[1])
+            sorted(((index(a), index(b)) for a, b in self.intervals), key=lambda iv: iv[1])
         )
         object.__setattr__(self, "intervals", ivs)
         n = self.ambient_n

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NotHomogeneous, ParseError
@@ -47,7 +48,7 @@ class _Expansion:
         data: dict[Partition, int] = {}
         for lam, c in items:
             lam = self._key(lam)
-            c = int(c)
+            c = index(c)
             if c:
                 data[lam] = data.get(lam, 0) + c
         self._terms = {
@@ -75,27 +76,15 @@ class _Expansion:
     def coeff(self, lam: Partition) -> int:
         return self._terms.get(partition(lam), 0)
 
-    def support(self) -> tuple[Partition, ...]:
-        return tuple(self._terms)
-
     def items(self) -> Iterator[tuple[Partition, int]]:
         return iter(self._terms.items())
-
-    def degrees(self) -> set[int]:
-        return {sum(lam) for lam in self._terms}
 
     def degree(self) -> int:
         """Top degree of the support (0 for the zero expansion)."""
         return max((sum(lam) for lam in self._terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_nonnegative(self) -> bool:
         """True iff every stored coefficient is nonnegative."""
@@ -200,10 +189,9 @@ def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
     >>> monomial_to_schur(MonomialExpansion.basis((2,))).text()
     '-1*s[1,1] + 1*s[2]'
     """
-    if not m:
-        return SchurExpansion()
-    if not m.is_homogeneous():
-        raise NotHomogeneous(f"mixed degrees {sorted(m.degrees())}")
+    degrees = {sum(lam) for lam, _ in m.items()}
+    if len(degrees) > 1:
+        raise NotHomogeneous(f"mixed degrees {sorted(degrees)}")
     work = m.terms()
     out: dict[Partition, int] = {}
     while work:

@@ -45,7 +45,6 @@ from .partitions import (
     complement,
     lr_coefficient,
     mn_character,
-    partition,
     syt_count,
 )
 from .perms import (
@@ -73,6 +72,7 @@ from .rankset import (
 )
 from .symfunc import (
     SchurExpansion,
+    kostka,
     monomial_to_schur,
     schur_product,
     schur_to_monomial,
@@ -200,23 +200,10 @@ def _rank_sets(top: int, min_k: int = 0):
                 yield k, n, m
 
 
-def _enumerate_syt(lam) -> int:
-    """Independent standard-filling count by corner-removal recursion."""
-    if not lam:
-        return 1
-    total = 0
-    for i in range(len(lam)):
-        if lam[i] > (lam[i + 1] if i + 1 < len(lam) else 0):
-            smaller = list(lam)
-            smaller[i] -= 1
-            total += _enumerate_syt(partition(smaller))
-    return total
-
-
 def _suite_syt(max_n: int):
     for n in range(max_n + 1):
         for lam in all_partitions(n):
-            yield syt_count(lam) != _enumerate_syt(lam)
+            yield syt_count(lam) != kostka(lam, (1,) * n)
 
 
 def _suite_lr_symmetry(max_n: int):
@@ -275,7 +262,7 @@ def _suite_product_laws(max_n: int):
         for b in singles:
             left = schur_product(a, b)
             yield (left != schur_product(b, a)) + sum(
-                sum(lam) != a.degree() + b.degree() for lam in left.support()
+                sum(lam) != a.degree() + b.degree() for lam in left.terms()
             )
     small = [SchurExpansion.basis(lam) for lam in all_partitions(2)] + [
         SchurExpansion.basis((1,))
@@ -421,7 +408,7 @@ def _suite_pieri_degree(max_n: int):
 
 def _suite_rothe_inversions(max_n: int):
     for w in _permutations(min(max_n, 6)):
-        yield diagram_of_permutation(w).size() != inversions(w)
+        yield len(diagram_of_permutation(w).cells) != inversions(w)
 
 
 def _suite_degeneration(max_n: int):
@@ -458,7 +445,7 @@ def _suite_specht_oracle(max_n: int):
     for n in range(2, 5):
         for w in iter_permutations(range(1, n + 1)):
             d = diagram_of_permutation(w)
-            if d.size() > bound:
+            if len(d.cells) > bound:
                 continue
             ruled = specht_schur(d, f"perm:{permutation_text(w)}")
             yield ruled != specht_bruteforce(d)
@@ -470,7 +457,7 @@ def _suite_box_duality(max_n: int):
         for d in _all_box_diagrams(ctx.rows, ctx.cols, min(max_n, 4)):
             boxed = diagram(d.cells, ctx)
             dual_cells = complement_rotate(boxed, ctx)
-            if dual_cells.size() > 5:
+            if len(dual_cells.cells) > 5:
                 continue
             try:
                 via_rule = specht_schur(dual_cells, family="dual")

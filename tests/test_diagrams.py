@@ -47,7 +47,7 @@ def test_diagram_validation():
     with pytest.raises(ValueError):
         diagram([(3, 1)], RectangleContext(2, 2))
     d = diagram([(1, 2), (2, 1)], RectangleContext(2, 2))
-    assert d.size() == 2
+    assert len(d.cells) == 2
 
 
 def test_complement_rotate():
@@ -72,13 +72,13 @@ def test_diagram_of_permutation():
 
 def test_staircase_pattern():
     d = staircase_pattern((2, 4, 1, 5, 3))
-    assert d.row(1) == frozenset({2, 3, 4, 5, 6})
+    assert {c for r, c in d.cells if r == 1} == {2, 3, 4, 5, 6}
     assert staircase_pattern((1,)).cells == frozenset({(1, 1), (1, 2)})
     for n in (2, 3, 4):
         for w in iter_permutations(range(1, n + 1)):
             pattern = staircase_pattern(w)
             for i in range(1, n + 1):
-                assert len(pattern.row(i)) == i + n - w[i - 1] + 1
+                assert len([c for r, c in pattern.cells if r == i]) == i + n - w[i - 1] + 1
 
 
 def test_james_peel_move_matrix_example():
@@ -300,7 +300,7 @@ def test_specht_bruteforce_permutation_diagrams():
     for n in (2, 3, 4):
         for w in iter_permutations(range(1, n + 1)):
             d = diagram_of_permutation(w)
-            if d.size() > 5:
+            if len(d.cells) > 5:
                 continue
             assert specht_bruteforce(d) == stanley(w), w
 

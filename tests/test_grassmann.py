@@ -29,11 +29,11 @@ def sigma1_power(k, n, power):
 
 
 def test_phi_truncation():
-    assert phi(s(5), 4, 8).is_zero()
+    assert not phi(s(5), 4, 8)
     mixed = s(2, 2) + s(3, 1) - s(4)
     assert phi(mixed, 2, 4) == schubert_class((2, 2), 2, 4)
-    assert phi(SchurExpansion(), 3, 6).is_zero()
-    assert phi(s(2, 1, 1), 2, 6).is_zero()  # too many rows
+    assert not phi(SchurExpansion(), 3, 6)
+    assert not phi(s(2, 1, 1), 2, 6)  # too many rows
 
 
 def test_schubert_class_constructor_rejects_overflow():
@@ -57,7 +57,7 @@ def test_class_product_identity_and_truncation():
     one = SchubertClass(3, 6, {(): 1})
     assert class_product(one, x) == x
     tiny = class_product(schubert_class((1,), 1, 2), schubert_class((1,), 1, 2))
-    assert tiny.is_zero()
+    assert not tiny
 
 
 def test_context_mismatch():
@@ -98,7 +98,7 @@ def test_class_degree():
 
 def test_class_difference_and_nonnegativity():
     x = schubert_class((2, 2), 4, 8)
-    assert (x - x).is_zero()
+    assert not (x - x)
     assert (x - x).is_nonnegative()
     y = sigma1_power(4, 8, 4)
     difference = y - x
@@ -182,13 +182,13 @@ def test_clipped_product_in_edge_contexts():
                 product = class_product(a, b)
                 assert product == phi(schur_product(a, b), k, n), (k, n, mu, nu)
                 if sum(mu) + sum(nu) > top:
-                    assert product.is_zero()
+                    assert not product
     one = SchubertClass.one(0, 3)
     assert class_product(one, one).text() == "1*o[-]@Gr(0,3)"
     sigma = schubert_class((2,), 1, 4), schubert_class((1,), 1, 4)
     assert class_product(*sigma) == point_class(1, 4)
     for box in ((0, 3), (3, 0), (0, 0)):
-        assert schur_product(s(1), s(1), box=box).is_zero()
+        assert not schur_product(s(1), s(1), box=box)
         assert schur_product(s(), s(), box=box) == s()
 
 
@@ -204,7 +204,7 @@ def test_pieri_iteration_reaches_degree_times_point():
                     x = class_product(x, schubert_class((1,), k, n))
                 assert x == SchubertClass(
                     k, n, {tuple([n - k] * k): expected}
-                ) or (expected == 0 and x.is_zero())
+                ) or (expected == 0 and not x)
 
 
 def test_lift_round_trip():

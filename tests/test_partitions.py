@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from rankcalc.diagrams import Diagram
 from rankcalc.errors import ParseError, ShapeTooLarge, SizeMismatch
 from rankcalc.partitions import (
     RectangleContext,
@@ -17,7 +18,9 @@ from rankcalc.partitions import (
     partition_text,
     syt_count,
 )
-from rankcalc.symfunc import skew_schur
+from rankcalc.perms import AffinePermutation, check_permutation
+from rankcalc.rankset import RankSet
+from rankcalc.symfunc import SchurExpansion, skew_schur
 
 from oracles import skew_syt_by_filling, syt_by_filling, transpose_cells
 
@@ -26,6 +29,26 @@ from oracles import skew_syt_by_filling, syt_by_filling, transpose_cells
 def partitions_st(draw, max_size=8, min_size=0):
     n = draw(st.integers(min_size, max_size))
     return draw(st.sampled_from(all_partitions(n)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda x: partition([2, x]), id="partition"),
+        pytest.param(lambda x: check_permutation((3, x, 2)), id="check_permutation"),
+        pytest.param(lambda x: AffinePermutation((3, x, 2)), id="AffinePermutation"),
+        pytest.param(lambda x: Diagram(frozenset({(1, x)})), id="Diagram"),
+        pytest.param(lambda x: RankSet(((x, 2),), 3), id="RankSet"),
+        pytest.param(lambda x: SchurExpansion({(2,): x}), id="SchurExpansion"),
+    ],
+)
+def test_constructors_reject_non_integers(build):
+    # each value constructor takes an integer and refuses to truncate a float
+    # or to parse a string
+    build(1)
+    for bad in (1.0, 1.5, "1"):
+        with pytest.raises(TypeError):
+            build(bad)
 
 
 def test_partition_canonicalization():
@@ -123,6 +146,13 @@ def test_lr_examples():
     assert lr_coefficient((4, 3, 2, 1), (3, 2, 1), (2, 1, 1)) == 3
     assert lr_coefficient((2,), (1,), (1, 1)) == 0  # size mismatch
     assert lr_coefficient((2, 2), (2, 1), (1, 1)) == 0
+
+
+def test_lr_rejects_non_partitions():
+    for bad in ((1, 2), (2, 1, 0)):
+        for args in ((bad, (1,), (1, 1)), ((2, 1), bad, (1,)), ((2, 1), (1,), bad)):
+            with pytest.raises(ValueError):
+                lr_coefficient(*args)
 
 
 def test_lr_diagonal_skew_is_regular_representation():

@@ -148,7 +148,7 @@ def test_schur_product_associative_small():
 def test_degree_additivity(a, b):
     product = schur_product(a, b)
     if a and b:
-        assert all(sum(lam) == 5 for lam in product.support())
+        assert all(sum(lam) == 5 for lam in product.terms())
 
 
 def test_is_nonnegative():

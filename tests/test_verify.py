@@ -15,6 +15,7 @@ from rankcalc.verify import (
     _suite_rank_round_trip,
     _suite_row_col_invariance,
     _suite_specht_oracle,
+    _suite_syt,
     check_class_bound,
     known_diagonal_class,
     replay_counterexample,
@@ -116,6 +117,13 @@ def test_complement_involution_at_scale_7():
     # case count recorded at scale 7 before the suite enumerated inside the box
     violations = list(_suite_complement_involution(7))
     assert (len(violations), sum(violations)) == (12869, 0)
+
+
+def test_syt_suite_at_scales_7_and_8():
+    # case counts recorded before kostka became the suite's second count
+    for scale, cases in ((7, 45), (8, 67)):
+        violations = list(_suite_syt(scale))
+        assert (len(violations), sum(violations)) == (cases, 0), scale
 
 
 def test_rank_set_suites_at_scale_7():
