@@ -19,6 +19,7 @@ object on stdout (verify streams one JSON object per line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -45,7 +46,11 @@ from .rankset import parse_rank_set, w_of_rank_set
 from .verify import replay_counterexample, run_all
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once, on the first call to main: parse_args fills a fresh
+    Namespace each call and leaves the parser as it was, failed parses too.
+    """
     parser = argparse.ArgumentParser(
         prog="rankcalc",
         description="Exact combinatorics of Grassmannian rank varieties.",

@@ -103,25 +103,25 @@ def diagram_of_permutation(w: Permutation) -> Diagram:
     >>> sorted(diagram_of_permutation((2, 4, 1, 5, 3)).cells)
     [(1, 1), (2, 1), (2, 3), (4, 3)]
     """
-    w = check_permutation(w)
-    n = len(w)
-    cells = frozenset(
-        (i + 1, w[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w[i] > w[j]
-    )
-    return Diagram(cells)
+    return Diagram(_inversion_cells(check_permutation(w)))
 
 
 def staircase_pattern(w: Permutation) -> Diagram:
     """Row i carries the interval of columns w(i) .. i + n, inside [n] x [2n]."""
     w = check_permutation(w)
+    return Diagram(_staircase_cells(w), RectangleContext(len(w), 2 * len(w)))
+
+
+def _inversion_cells(w: Permutation) -> frozenset[Cell]:
     n = len(w)
-    cells = frozenset(
-        (i, c) for i in range(1, n + 1) for c in range(w[i - 1], i + n + 1)
+    return frozenset(
+        (i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
     )
-    return Diagram(cells, RectangleContext(n, 2 * n))
+
+
+def _staircase_cells(w: Permutation) -> set[Cell]:
+    n = len(w)
+    return {(i, c) for i in range(1, n + 1) for c in range(w[i - 1], i + n + 1)}
 
 
 def _transfer(cells: set[Cell], i: int, j: int) -> None:
@@ -154,7 +154,7 @@ def degeneration_check(w: Permutation) -> bool:
     """
     w = check_permutation(w)
     n = len(w)
-    pattern = set(staircase_pattern(w).cells)
+    pattern = _staircase_cells(w)
     for i in range(n, 0, -1):
         _transfer(pattern, n + i, w[i - 1])
     return _degeneration_holds(w, pattern)
@@ -163,7 +163,7 @@ def degeneration_check(w: Permutation) -> bool:
 def _degeneration_holds(w: Permutation, pattern: set[Cell]) -> bool:
     """The two structure properties degeneration_check tests."""
     n = len(w)
-    inv = diagram_of_permutation(w).cells
+    inv = _inversion_cells(w)
     rows = [{c for r, c in inv if r == i} for i in range(n + 1)]
     square = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
     return pattern & square == square - inv and all(

@@ -1,6 +1,9 @@
+import argparse
 import json
+import sys
 import time
 
+from rankcalc import cli
 from rankcalc.cli import main
 from rankcalc.grassmann import parse_class
 from rankcalc.symfunc import MonomialExpansion, SchurExpansion, parse_expansion
@@ -221,6 +224,94 @@ def test_unknown_flag_rejected(capsys):
     code = main(["stanley", "31524", "--bogus"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_one_parser_serves_a_mixed_sequence(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    # argv, exit code, stdout, last line of stderr (None: checked below)
+    parse_error = (
+        "parse error: bad permutation text 'xx': "
+        "invalid literal for int() with base 10: 'x'"
+    )
+    sequence = (
+        (
+            ("stanley", "31524", "--bogus"),
+            2,
+            "",
+            "rankcalc: error: unrecognized arguments: --bogus",
+        ),
+        (
+            ("schubert", "mult", "1", "1"),
+            2,
+            "",
+            "rankcalc schubert mult: error: the following arguments are required: --gr",
+        ),
+        (("verify", "bogus"), 2, "", None),
+        (("--help",), 0, None, ""),
+        (("stanley", "xx"), 2, "", parse_error),
+        (("stanley", "31524"), 0, "1*s[2,2] + 1*s[3,1]\n", ""),
+        (
+            ("rank-class", "[1,1],[3,3];n=4"),
+            0,
+            "w_M = 1426357\nclass = 1*o[2,2]@Gr(2,4)\ndegree = 1\n",
+            "",
+        ),
+        (("schubert", "mult", "1", "2,1", "--gr", "2,4"), 0, "1*o[2,2]@Gr(2,4)\n", ""),
+    )
+    # each call with a parser built for it alone, as before the parser was cached
+    fresh = []
+    for argv, code, out, last_err in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+        got_code, got_out, got_err = fresh[-1]
+        assert got_code == code, argv
+        if out is not None:
+            assert got_out == out, argv
+        if last_err is not None:
+            assert (got_err.splitlines() or [""])[-1] == last_err, argv
+    assert fresh[2][2].splitlines()[-1].startswith(
+        "rankcalc verify: error: argument scope: invalid choice: 'bogus'"
+    )
+    assert fresh[3][1].startswith("usage: rankcalc [-h]\n")
+    assert "Exact combinatorics of Grassmannian rank varieties." in fresh[3][1]
+    # one parser, built by the first call, gives every call the same bytes
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+    )
+    for i, (argv, *_) in enumerate(sequence):
+        assert run(capsys, *argv) == fresh[i], argv
+        if i == 0:
+            first = list(built)
+    assert first and built == first
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # the rankcalc script calls main() with no argv, so main reads sys.argv
+    cases = (
+        (["stanley", "31524"], 0, "1*s[2,2] + 1*s[3,1]\n", ""),
+        (
+            ["stanley", "xx"],
+            2,
+            "",
+            "parse error: bad permutation text 'xx': "
+            "invalid literal for int() with base 10: 'x'\n",
+        ),
+    )
+    for argv, code, out, err in cases:
+        monkeypatch.setattr(sys, "argv", ["rankcalc", *argv])
+        assert main() == code
+        assert capsys.readouterr() == (out, err)
+    monkeypatch.setattr(sys, "argv", ["rankcalc", "stanley", "31524", "--bogus"])
+    assert main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: rankcalc ")
+    assert err.endswith("rankcalc: error: unrecognized arguments: --bogus\n")
 
 
 def test_affine_stanley_json_round_trip(capsys):
