@@ -13,7 +13,8 @@ Text form mirrors the Schur expansion with letter 'o' and a context suffix:
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from collections.abc import Mapping
+from operator import index
 
 from .errors import ContextMismatch, ParseError, ShapeTooLarge
 from .partitions import (
@@ -29,17 +30,26 @@ from .symfunc import SchurExpansion, _Expansion, _parse_terms, schur_product, sk
 
 
 class SchubertClass(_Expansion):
-    """An integer combination of Schubert classes in a fixed Gr(k, n)."""
+    """An integer combination of Schubert classes in a fixed Gr(k, n); the
+    public constructor also checks that k and n are integers, 0 <= k <= n."""
 
     basis_letter = "o"
     __slots__ = ("k", "n")
 
     def __init__(self, k: int, n: int, terms: Mapping[Partition, int] = ()):
+        k, n = index(k), index(n)
         if not (0 <= k <= n):
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        self.k = k
-        self.n = n
+        self.k, self.n = k, n
         super().__init__(terms)
+
+    @classmethod
+    def _trusted(cls, k: int, n: int, terms: Mapping[Partition, int]) -> SchubertClass:
+        """No checks: the caller guarantees ints 0 <= k <= n and terms that
+        _Expansion._trusted accepts, each fitting in k x (n-k)."""
+        self = super()._trusted(terms)
+        self.k, self.n = k, n
+        return self
 
     def _key(self, lam) -> Partition:
         lam = partition(lam)
@@ -50,7 +60,7 @@ class SchubertClass(_Expansion):
     def _like(self, terms: Mapping[Partition, int], other=None) -> SchubertClass:
         if other is not None:
             _same_context(self, other)
-        return SchubertClass(self.k, self.n, terms)
+        return SchubertClass._trusted(self.k, self.n, terms)
 
     @classmethod
     def basis(cls, lam: Partition, k: int, n: int, coefficient: int = 1):
@@ -80,7 +90,8 @@ def phi(s: SchurExpansion, k: int, n: int) -> SchubertClass:
     >>> not phi(SchurExpansion.basis((5,)), 4, 8)
     True
     """
-    return SchubertClass(k, n, {lam: c for lam, c in s.items() if fits(lam, k, n - k)})
+    k, n = SchubertClass(k, n).context()  # the constructor's checks on k and n
+    return SchubertClass._trusted(k, n, {lam: c for lam, c in s.items() if fits(lam, k, n - k)})
 
 
 def _same_context(a: SchubertClass, b: SchubertClass) -> None:
@@ -94,7 +105,7 @@ def class_product(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     k x (n-k); phi being a ring map, this is phi of the whole product."""
     _same_context(a, b)
     clipped = schur_product(a, b, box=(a.k, a.n - a.k))
-    return SchubertClass(a.k, a.n, clipped.terms())
+    return SchubertClass._trusted(a.k, a.n, clipped.terms())
 
 
 def class_degree(x: SchubertClass) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, prod
-from operator import index
+from operator import ge, index
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ShapeTooLarge, SizeMismatch
@@ -38,16 +38,15 @@ def partition(parts: Iterable[int]) -> Partition:
     >>> partition(())
     ()
     """
-    out = tuple(index(p) for p in parts)
+    out = tuple(map(index, parts))
     cut = len(out)
     while cut and out[cut - 1] == 0:
         cut -= 1
     out = out[:cut]
     if out and out[-1] < 0:
         raise ValueError(f"negative part in {out}")
-    for a, b in zip(out, out[1:]):
-        if a < b:
-            raise ValueError(f"parts not weakly decreasing: {out}")
+    if not all(map(ge, out, out[1:])):
+        raise ValueError(f"parts not weakly decreasing: {out}")
     return out
 
 
@@ -119,8 +118,7 @@ def complement(lam: Partition, ctx: RectangleContext) -> Partition:
     rows, cols = ctx
     if not fits(lam, rows, cols):
         raise ShapeTooLarge(f"{lam} does not fit in {rows}x{cols}")
-    padded = lam + (0,) * (rows - len(lam))
-    return partition(cols - padded[rows - 1 - i] for i in range(rows))
+    return partition([cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)])
 
 
 @lru_cache(maxsize=None)

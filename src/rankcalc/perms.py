@@ -40,7 +40,7 @@ def check_permutation(w) -> Permutation:
     >>> check_permutation((3, 1, 5, 2, 4))
     (3, 1, 5, 2, 4)
     """
-    w = tuple(index(x) for x in w)
+    w = tuple(map(index, w))
     if not w or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not one-line notation on 1..n: {w}")
     return w
@@ -81,12 +81,21 @@ def parse_permutation(text: str) -> Permutation:
 
 @dataclass(frozen=True)
 class AffinePermutation:
-    """A bijection of Z commuting with the shift by n, stored by its window."""
+    """A bijection of Z commuting with the shift by n, stored by its window.
+    The public constructor validates the window; _trusted does not."""
 
     window: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...]) -> AffinePermutation:
+        """No checks: the caller guarantees a nonempty tuple of ints that are
+        pairwise distinct modulo its length."""
+        self = object.__new__(cls)
+        self.__dict__.update(window=window)
+        return self
+
     def __post_init__(self):
-        window = tuple(index(x) for x in self.window)
+        window = tuple(map(index, self.window))
         object.__setattr__(self, "window", window)
         n = len(window)
         if n == 0:
@@ -223,13 +232,11 @@ def affine_stanley(f: AffinePermutation) -> MonomialExpansion:
     '1*m[-]'
     """
     shift = av(f)
-    f0 = AffinePermutation(tuple(x - shift for x in f.window))
+    f0 = AffinePermutation._trusted(tuple(x - shift for x in f.window))
     total = _length(f0.window)
     # a cyclically decreasing factor omits a residue, so its length is < n
-    return MonomialExpansion(
-        (lam, _factorization_count(f0.window, lam))
-        for lam in box_partitions(total, total, f0.n - 1)
-    )
+    lams = box_partitions(total, total, f0.n - 1)
+    return MonomialExpansion._trusted({lam: _factorization_count(f0.window, lam) for lam in lams})
 
 
 def _shape(w: Permutation) -> Partition:
@@ -289,7 +296,7 @@ def stanley(w: Permutation) -> SchurExpansion:
     >>> stanley((2, 1, 4, 3)).text()
     '1*s[1,1] + 1*s[2]'
     """
-    return SchurExpansion(_transition(_normalized(check_permutation(w))))
+    return SchurExpansion._trusted(dict(_transition(_normalized(check_permutation(w)))))
 
 
 def window_text(f: AffinePermutation) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from operator import index
+from operator import index, itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -38,17 +38,27 @@ Interval = tuple[int, int]
 
 @dataclass(frozen=True)
 class RankSet:
-    """Intervals stored sorted by right endpoint, plus the ambient n."""
+    """Intervals stored sorted by right endpoint, plus the ambient n.
+    The public constructor validates both; _trusted does not."""
 
     intervals: tuple[Interval, ...]
     ambient_n: int
 
+    @classmethod
+    def _trusted(cls, intervals: tuple[Interval, ...], ambient_n: int) -> RankSet:
+        """No checks: the caller guarantees an int ambient_n >= 0 and int pairs
+        1 <= a <= b <= ambient_n sorted by b, lefts distinct, rights distinct."""
+        self = object.__new__(cls)
+        self.__dict__.update(intervals=intervals, ambient_n=ambient_n)
+        return self
+
     def __post_init__(self):
         ivs = tuple(
-            sorted(((index(a), index(b)) for a, b in self.intervals), key=lambda iv: iv[1])
+            sorted(((index(a), index(b)) for a, b in self.intervals), key=itemgetter(1))
         )
         object.__setattr__(self, "intervals", ivs)
-        n = self.ambient_n
+        n = index(self.ambient_n)
+        object.__setattr__(self, "ambient_n", n)
         if n < 0:
             raise InvalidRankSet(f"ambient n must be nonnegative: {n}")
         for a, b in ivs:
@@ -84,9 +94,8 @@ def containment_count(m: RankSet, interval: Interval) -> int:
 def dimension(m: RankSet) -> int:
     """Dimension of the rank variety: sum over intervals of size minus the
     number of intervals contained in it."""
-    return sum(
-        (b - a + 1) - containment_count(m, (a, b)) for a, b in m.intervals
-    )
+    ivs = m.intervals
+    return sum(b - a + 1 for a, b in ivs) - sum(r <= a and b <= s for r, s in ivs for a, b in ivs)
 
 
 def codimension(m: RankSet) -> int:
@@ -107,15 +116,11 @@ def affine_of_rank_set(m: RankSet) -> AffinePermutation:
     if n == 0:
         raise InvalidRankSet("ambient n must be positive for the correspondence")
     window = [0] * n
-    rights = {b for _, b in m.intervals}
-    lefts = {a for a, _ in m.intervals}
     for a, b in m.intervals:
         window[b - 1] = a + n
-    spare_positions = [p for p in range(1, n + 1) if p not in rights]
-    spare_values = [v for v in range(1, n + 1) if v not in lefts]
-    for p, v in zip(spare_positions, spare_values):
-        window[p - 1] = v
-    return AffinePermutation(tuple(window))
+    # the spare positions, the zeros left, take the spare values in order
+    spare = iter(sorted(set(range(1, n + 1)).difference(a for a, _ in m.intervals)))
+    return AffinePermutation._trusted(tuple(x or next(spare) for x in window))
 
 
 def rank_set_of_affine(f: AffinePermutation) -> RankSet:
@@ -132,15 +137,16 @@ def rank_set_of_affine(f: AffinePermutation) -> RankSet:
         raise NotRankSetShaped(
             f"entries of {f.window} lying in [n] are not increasing"
         )
+    # boundedness puts each x - n in [1, p]; distinct residues make them distinct
     intervals = tuple(
         (x - n, p) for p, x in enumerate(f.window, start=1) if x > n
     )
-    return RankSet(intervals, n)
+    return RankSet._trusted(intervals, n)
 
 
 def stretch(m: RankSet) -> RankSet:
     """Extend every interval one step right, growing the ambient by one."""
-    return RankSet(
+    return RankSet._trusted(
         tuple((a, b + 1) for a, b in m.intervals), m.ambient_n + 1
     )
 
@@ -204,10 +210,11 @@ def all_rank_sets(k: int, n: int) -> Iterator[RankSet]:
     left-endpoint sets; the orderings of a left set are generated in
     lexicographic order, placing at each right end b only a left a <= b.
     """
+    n = RankSet((), n).ambient_n  # RankSet's own check on n, made once
     for rights in combinations(range(1, n + 1), k):
         for lefts_set in combinations(range(1, n + 1), k):
             for lefts in _placements(lefts_set, rights):
-                yield RankSet(tuple(zip(lefts, rights)), n)
+                yield RankSet._trusted(tuple(zip(lefts, rights)), n)
 
 
 def _placements(lefts: tuple, rights: tuple) -> Iterator[tuple]:

@@ -14,9 +14,9 @@ basis); the zero expansion renders as "0".
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from operator import index
-from typing import Iterable, Iterator, Mapping
 
 from .errors import NotHomogeneous, ParseError
 from .partitions import (
@@ -32,9 +32,14 @@ from .partitions import (
 )
 
 
+def _term_key(term: tuple[Partition, int]) -> tuple[int, Partition]:
+    return sort_key(term[0])
+
+
 class _Expansion:
     """Shared mechanics for expansions in a fixed basis.
 
+    The public constructor validates every term; _trusted does not.
     Subclasses hook in at two points: _key turns each incoming index into a
     partition (and may reject it), and _like builds the result of +, -,
     unary - and scalar * (and may check the other operand).
@@ -51,15 +56,21 @@ class _Expansion:
             c = index(c)
             if c:
                 data[lam] = data.get(lam, 0) + c
-        self._terms = {
-            lam: c for lam, c in sorted(data.items(), key=lambda kv: sort_key(kv[0])) if c
-        }
+        self._terms = {lam: c for lam, c in sorted(data.items(), key=_term_key) if c}
+
+    @classmethod
+    def _trusted(cls, terms: Mapping[Partition, int]):
+        """Drop zeros and sort, with no checks: the caller guarantees int
+        values and keys that _key would return unchanged."""
+        self = object.__new__(cls)
+        self._terms = {lam: c for lam, c in sorted(terms.items(), key=_term_key) if c}
+        return self
 
     def _key(self, lam) -> Partition:
         return partition(lam)
 
     def _like(self, terms: Mapping[Partition, int], other=None):
-        return type(self)(terms)
+        return self._trusted(terms)
 
     @classmethod
     def basis(cls, lam: Partition, coefficient: int = 1):
@@ -175,7 +186,7 @@ def schur_to_monomial(s: SchurExpansion) -> MonomialExpansion:
     for lam, c in s.items():
         for mu, k in _schur_monomial_row(lam):
             data[mu] = data.get(mu, 0) + c * k
-    return MonomialExpansion(data)
+    return MonomialExpansion._trusted(data)
 
 
 def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
@@ -206,7 +217,7 @@ def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
                 work[mu] = v
             else:
                 work.pop(mu, None)
-    return SchurExpansion(out)
+    return SchurExpansion._trusted(out)
 
 
 def schur_product(
@@ -233,7 +244,7 @@ def schur_product(
                 c = lr_coefficient(lam, mu, nu)
                 if c:
                     data[lam] = data.get(lam, 0) + cm * cn * c
-    return SchurExpansion(data)
+    return SchurExpansion._trusted(data)
 
 
 def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:

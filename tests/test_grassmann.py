@@ -14,7 +14,14 @@ from rankcalc.grassmann import (
     skew_complement_class,
 )
 from rankcalc.partitions import all_partitions, box_partitions, conjugate
-from rankcalc.symfunc import SchurExpansion, schur_product
+from rankcalc.perms import AffinePermutation, affine_stanley, stanley
+from rankcalc.symfunc import (
+    MonomialExpansion,
+    SchurExpansion,
+    monomial_to_schur,
+    schur_product,
+    schur_to_monomial,
+)
 
 
 def s(*parts):
@@ -34,11 +41,59 @@ def test_phi_truncation():
     assert phi(mixed, 2, 4) == schubert_class((2, 2), 2, 4)
     assert not phi(SchurExpansion(), 3, 6)
     assert not phi(s(2, 1, 1), 2, 6)  # too many rows
+    for k, n in ((5, 4), (-1, 3)):
+        with pytest.raises(ValueError):
+            phi(s(1), k, n)
 
 
 def test_schubert_class_constructor_rejects_overflow():
     with pytest.raises(ValueError):
         SchubertClass(2, 4, {(3,): 1})
+    with pytest.raises(ValueError):
+        SchubertClass(2, 4, {(1, 1, 1): 1})
+    with pytest.raises(ValueError):
+        SchubertClass(3, 2)
+
+
+def _validated(x):
+    if isinstance(x, SchubertClass):
+        return SchubertClass(x.k, x.n, x.terms())
+    return type(x)(x.terms())
+
+
+def test_derived_expansions_equal_their_validated_construction():
+    # arithmetic and the expansion producers build their results without
+    # re-checking the terms; each must equal, term order and text included,
+    # what the public constructor makes of the same terms
+    rng = random.Random(13)
+
+    def schur(degree):
+        parts = all_partitions(degree)
+        return SchurExpansion(
+            {lam: rng.randint(-3, 3) for lam in rng.sample(parts, min(3, len(parts)))}
+        )
+
+    results = []
+    for _ in range(40):
+        a, b = schur(rng.randint(0, 5)), schur(rng.randint(0, 4))
+        mono = schur_to_monomial(a)
+        k = rng.randint(0, 4)
+        n = rng.randint(k, 7)
+        x, y = phi(a, k, n), phi(b, k, n)
+        results += [a + b, a - b, -a, 3 * a, mono * -2, mono + mono]
+        results += [schur_product(a, b), schur_product(a, b, box=(2, 3))]
+        results += [mono, monomial_to_schur(mono), monomial_to_schur(MonomialExpansion())]
+        results += [x, y, x + y, x - y, -x, 2 * x, class_product(x, y)]
+        w = list(range(1, rng.randint(1, 7) + 1))
+        rng.shuffle(w)
+        results.append(stanley(tuple(w)))
+        m = rng.randint(1, 4)
+        window = [v + m * rng.randint(-1, 1) for v in rng.sample(range(1, m + 1), m)]
+        results.append(affine_stanley(AffinePermutation(tuple(window))))
+    for r in results:
+        again = _validated(r)
+        assert r == again and list(r.items()) == list(again.items()), r
+        assert r.text() == again.text()
 
 
 def test_class_product_sigma1_fourth_power():

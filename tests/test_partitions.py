@@ -3,6 +3,7 @@ import pytest
 
 from rankcalc.diagrams import Diagram
 from rankcalc.errors import ParseError, ShapeTooLarge, SizeMismatch
+from rankcalc.grassmann import SchubertClass, phi, schubert_class
 from rankcalc.partitions import (
     RectangleContext,
     all_partitions,
@@ -39,7 +40,12 @@ def partitions_st(draw, max_size=8, min_size=0):
         pytest.param(lambda x: AffinePermutation((3, x, 2)), id="AffinePermutation"),
         pytest.param(lambda x: Diagram(frozenset({(1, x)})), id="Diagram"),
         pytest.param(lambda x: RankSet(((x, 2),), 3), id="RankSet"),
+        pytest.param(lambda x: RankSet(((1, 1),), x), id="RankSet-ambient_n"),
         pytest.param(lambda x: SchurExpansion({(2,): x}), id="SchurExpansion"),
+        pytest.param(lambda x: SchubertClass(x, 2), id="SchubertClass-k"),
+        pytest.param(lambda x: SchubertClass(0, x), id="SchubertClass-n"),
+        pytest.param(lambda x: schubert_class((1,), x, 4), id="schubert_class"),
+        pytest.param(lambda x: phi(SchurExpansion(), 1, x), id="phi"),
     ],
 )
 def test_constructors_reject_non_integers(build):

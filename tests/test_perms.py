@@ -69,7 +69,11 @@ def test_affine_permutation_validation():
     with pytest.raises(ValueError):
         AffinePermutation((1, 5))  # residues collide mod 2
     with pytest.raises(ValueError):
+        AffinePermutation((7, 2, 4))  # 7 and 4 collide mod 3
+    with pytest.raises(ValueError):
         AffinePermutation(())
+    with pytest.raises(ParseError):
+        parse_window("1,5;n=2")
 
 
 def test_evaluate():

@@ -20,8 +20,10 @@ from rankcalc.perms import (
     northeast_count,
     stanley,
     tau_shift,
+    window_text,
 )
 from rankcalc.rankset import (
+    RankSet,
     affine_of_rank_set,
     all_rank_sets,
     codimension,
@@ -51,6 +53,10 @@ def test_rank_set_validation_and_canonical_order():
         rank_set([(3, 2)], 4)
     with pytest.raises(InvalidRankSet):
         rank_set([(1, 5)], 4)
+    with pytest.raises(InvalidRankSet):
+        rank_set([], -1)
+    with pytest.raises(InvalidRankSet):
+        next(all_rank_sets(0, -1))
 
 
 def test_containment_count():
@@ -91,6 +97,23 @@ def test_rank_set_of_affine():
     with pytest.raises(NotRankSetShaped):
         # bounded, but the in-window small entries 3, 2 are not increasing
         rank_set_of_affine(AffinePermutation((3, 2, 4)))
+    with pytest.raises(InvalidRankSet):
+        affine_of_rank_set(rank_set([], 0))
+
+
+def test_derived_values_equal_their_validated_construction():
+    # all_rank_sets, stretch, rank_set_of_affine and affine_of_rank_set build
+    # their results without re-checking them; each must equal, field types
+    # and text included, what the public constructor makes of its fields
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for m in all_rank_sets(k, n):
+                f = affine_of_rank_set(m)
+                for r in (m, stretch(m), rank_set_of_affine(f)):
+                    again = RankSet(r.intervals, r.ambient_n)
+                    assert r == again and rank_set_text(r) == rank_set_text(again)
+                again = AffinePermutation(f.window)
+                assert f == again and window_text(f) == window_text(again)
 
 
 def test_round_trip_exhaustive_through_n6():

@@ -50,6 +50,10 @@ def test_expansion_mechanics():
         with pytest.raises(TypeError):
             s(1) * bad
     assert SchurExpansion() != MonomialExpansion()
+    with pytest.raises(ValueError):
+        SchurExpansion({(1, 2): 1})
+    with pytest.raises(ValueError):
+        MonomialExpansion([((2, -1), 1)])
 
 
 def test_schur_product_matches_unboxed_lr_loop():
