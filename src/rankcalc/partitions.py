@@ -118,6 +118,21 @@ def complement(lam: Partition, ctx: RectangleContext) -> Partition:
     rows, cols = ctx
     if not fits(lam, rows, cols):
         raise ShapeTooLarge(f"{lam} does not fit in {rows}x{cols}")
+    # a partition of ints (a float or Fraction part leaves a non-int sum) in
+    # a box with columns: its complement is a partition, built directly
+    if (
+        type(cols) is int
+        and cols > 0
+        and (not lam or lam[-1] > 0)
+        and type(sum(lam)) is int
+        and all(map(ge, lam, lam[1:]))
+    ):
+        # the parts of lam equal to cols leave the complement's empty rows
+        return (cols,) * (rows - len(lam)) + tuple(
+            [cols - p for p in reversed(lam) if p != cols]
+        )
+    # anything else, including an empty box with no columns, takes the
+    # checks of partition()
     return partition([cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)])
 
 

@@ -126,8 +126,10 @@ def evaluate(f: AffinePermutation, i: int) -> int:
     >>> evaluate(AffinePermutation((6, 4, 5, 8, 7)), 6)
     11
     """
-    q, r = divmod(i - 1, f.n)
-    return f.window[r] + q * f.n
+    window = f.window
+    n = len(window)
+    q, r = divmod(i - 1, n)
+    return window[r] + q * n
 
 
 def av(f: AffinePermutation) -> int:
@@ -141,7 +143,8 @@ def av(f: AffinePermutation) -> int:
 
 def is_bounded(f: AffinePermutation) -> bool:
     """True iff i <= f(i) <= i + n for all i (window check suffices)."""
-    return all(i <= x <= i + f.n for i, x in enumerate(f.window, start=1))
+    n = len(f.window)
+    return all(i <= x <= i + n for i, x in enumerate(f.window, start=1))
 
 
 def tau_shift(f: AffinePermutation, left: int, right: int) -> AffinePermutation:
@@ -151,7 +154,7 @@ def tau_shift(f: AffinePermutation, left: int, right: int) -> AffinePermutation:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _length(window: tuple[int, ...]) -> int:
     # Shi's formula: sum over i < j in [n] of |floor((f(j) - f(i)) / n)|
     n = len(window)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from operator import index, itemgetter
 from typing import Iterator
 
@@ -30,7 +30,6 @@ from .perms import (
     Permutation,
     check_permutation,
     evaluate,
-    is_bounded,
 )
 
 Interval = tuple[int, int]
@@ -94,8 +93,17 @@ def containment_count(m: RankSet, interval: Interval) -> int:
 def dimension(m: RankSet) -> int:
     """Dimension of the rank variety: sum over intervals of size minus the
     number of intervals contained in it."""
-    ivs = m.intervals
-    return sum(b - a + 1 for a, b in ivs) - sum(r <= a and b <= s for r, s in ivs for a, b in ivs)
+    # sorted by right end, an interval [r, s] holds besides itself only
+    # intervals before it, those whose left end is at least r
+    dim = 0
+    lefts = []
+    for r, s in m.intervals:
+        dim += s - r
+        for a in lefts:
+            if r <= a:
+                dim -= 1
+        lefts.append(r)
+    return dim
 
 
 def codimension(m: RankSet) -> int:
@@ -116,11 +124,16 @@ def affine_of_rank_set(m: RankSet) -> AffinePermutation:
     if n == 0:
         raise InvalidRankSet("ambient n must be positive for the correspondence")
     window = [0] * n
+    free = [False] + [True] * n  # free[v]: no interval starts at v
     for a, b in m.intervals:
         window[b - 1] = a + n
-    # the spare positions, the zeros left, take the spare values in order
-    spare = iter(sorted(set(range(1, n + 1)).difference(a for a, _ in m.intervals)))
-    return AffinePermutation._trusted(tuple(x or next(spare) for x in window))
+        free[a] = False
+    # the spare positions, the zeros left, take the free values in order
+    spare = compress(range(n + 1), free)
+    for p, x in enumerate(window):
+        if not x:
+            window[p] = next(spare)
+    return AffinePermutation._trusted(tuple(window))
 
 
 def rank_set_of_affine(f: AffinePermutation) -> RankSet:
@@ -129,19 +142,27 @@ def rank_set_of_affine(f: AffinePermutation) -> RankSet:
     >>> rank_set_of_affine(AffinePermutation((6, 4, 5, 8, 7))).intervals
     ((1, 1), (3, 4), (2, 5))
     """
-    n = f.n
-    if not is_bounded(f):
-        raise NotBounded(f"window {f.window} is not bounded")
-    small = [x for x in f.window if x <= n]
-    if small != sorted(small):
+    window = f.window
+    n = len(window)
+    intervals = []
+    last = 0  # the last entry met in [n], while they increase
+    shaped = True
+    for p, x in enumerate(window, start=1):
+        if not p <= x <= p + n:
+            raise NotBounded(f"window {window} is not bounded")
+        if x > n:
+            # boundedness puts x - n in [1, p]; distinct residues make the
+            # left ends distinct
+            intervals.append((x - n, p))
+        elif x < last:
+            shaped = False
+        else:
+            last = x
+    if not shaped:
         raise NotRankSetShaped(
-            f"entries of {f.window} lying in [n] are not increasing"
+            f"entries of {window} lying in [n] are not increasing"
         )
-    # boundedness puts each x - n in [1, p]; distinct residues make them distinct
-    intervals = tuple(
-        (x - n, p) for p, x in enumerate(f.window, start=1) if x > n
-    )
-    return RankSet._trusted(intervals, n)
+    return RankSet._trusted(tuple(intervals), n)
 
 
 def stretch(m: RankSet) -> RankSet:
@@ -212,22 +233,28 @@ def all_rank_sets(k: int, n: int) -> Iterator[RankSet]:
     """
     n = RankSet((), n).ambient_n  # RankSet's own check on n, made once
     for rights in combinations(range(1, n + 1), k):
-        for lefts_set in combinations(range(1, n + 1), k):
-            for lefts in _placements(lefts_set, rights):
-                yield RankSet._trusted(tuple(zip(lefts, rights)), n)
+        for lefts in combinations(range(1, n + 1), k):
+            for intervals in _placements(lefts, rights):
+                yield RankSet._trusted(intervals, n)
 
 
-def _placements(lefts: tuple, rights: tuple) -> Iterator[tuple]:
+def _placements(
+    lefts: tuple, rights: tuple, placed: tuple = ()
+) -> Iterator[tuple[Interval, ...]]:
     """The orderings of the increasing tuple lefts whose i-th entry is at
-    most rights[i], in lexicographic order."""
-    if not rights:
-        yield ()
+    most rights[i], in lexicographic order, each yielded as its tuple of
+    intervals (a_i, rights[i]).  placed holds the intervals fixed so far,
+    and lefts the left ends still free."""
+    i = len(placed)
+    if i == len(rights):
+        yield placed
         return
-    for i, a in enumerate(lefts):
-        if a > rights[0]:
+    b = rights[i]
+    for j, a in enumerate(lefts):
+        if a > b:
             return
-        for rest in _placements(lefts[:i] + lefts[i + 1:], rights[1:]):
-            yield (a,) + rest
+        rest = lefts[:j] + lefts[j + 1:]
+        yield from _placements(rest, rights, placed + ((a, b),))
 
 
 def rank_set_text(m: RankSet) -> str:

@@ -9,7 +9,10 @@ module constants below; everything checked against them is recomputed.
 
 run_all aggregates the cross-module invariant suites at a requested scale;
 each suite yields a violation count per case over an enumerated or seeded
-deterministic family of cases, and run_all counts and reports them.
+deterministic family of cases, and run_all counts and reports them.  Checks
+that share a family and its costly intermediates (a rank set's window, the
+class of w_M) share one suite: its entry names a tuple of reports, and it
+yields one count per report for each case.
 """
 
 from __future__ import annotations
@@ -182,8 +185,9 @@ def check_class_bound(
 
 # ---------------------------------------------------------------------------
 # Invariant suites.  Each suite yields one violation count per case (a bool,
-# or an int where a case checks several things); run_all counts the cases,
-# sums the violations and reports.
+# or an int where a case checks several things), or a tuple of such counts
+# when its entry in _SUITES names several reports; run_all counts the cases,
+# sums the violations of each report and reports.
 
 
 def _permutations(top: int):
@@ -216,12 +220,18 @@ def _suite_lr_symmetry(max_n: int):
 
 
 def _suite_complement_involution(max_n: int):
+    """One complement per box partition; a complement that is not itself a
+    box partition finds no entry and counts as a violation."""
     for rows in range(max_n + 1):
         for cols in range(max_n + 1):
             ctx = RectangleContext(rows, cols)
-            for size in range(rows * cols + 1):
-                for lam in box_partitions(size, rows, cols):
-                    yield complement(complement(lam, ctx), ctx) != lam
+            comp = {
+                lam: complement(lam, ctx)
+                for size in range(rows * cols + 1)
+                for lam in box_partitions(size, rows, cols)
+            }
+            for lam, image in comp.items():
+                yield comp.get(image) != lam
 
 
 def _suite_orthogonality(max_n: int):
@@ -327,14 +337,12 @@ def _suite_embedded_length(max_n: int):
         yield length(embed(w)) != inversions(w)
 
 
-def _suite_rank_round_trip(max_n: int):
+def _suite_rank_round_trip_codim(max_n: int):
+    """Per rank set: the round trip through its window, and codimension
+    against the window's length."""
     for _, _, m in _rank_sets(max_n):
-        yield rank_set_of_affine(affine_of_rank_set(m)) != m
-
-
-def _suite_codim_length(max_n: int):
-    for _, _, m in _rank_sets(max_n):
-        yield codimension(m) != length(affine_of_rank_set(m))
+        f = affine_of_rank_set(m)
+        yield rank_set_of_affine(f) != m, codimension(m) != length(f)
 
 
 def _suite_interval_rank(max_n: int):
@@ -347,19 +355,18 @@ def _suite_interval_rank(max_n: int):
                 )
 
 
-def _suite_class_oracle(max_n: int):
+def _suite_class_oracle_stretch(max_n: int):
+    """Per rank set: the class of w_M against the class from its affine
+    Stanley function, and against the class of w of its stretch."""
     for k, n, m in _rank_sets(min(max_n, 5), min_k=1):
         from_w = phi(stanley(w_of_rank_set(m)), k, n)
         from_f = phi(
             monomial_to_schur(affine_stanley(affine_of_rank_set(m))), k, n
         )
-        yield from_w != from_f
-
-
-def _suite_stretch_compat(max_n: int):
-    for k, n, m in _rank_sets(min(max_n, 5), min_k=1):
-        base = phi(stanley(w_of_rank_set(m)), k, n)
-        yield base != phi(stanley(w_of_rank_set(stretch(m))), k, n)
+        yield (
+            from_w != from_f,
+            from_w != phi(stanley(w_of_rank_set(stretch(m))), k, n),
+        )
 
 
 def _suite_mw_identity(max_n: int):
@@ -490,11 +497,15 @@ _SUITES = (
     ("perms/stanley-schur-positive", _suite_stanley_positive),
     ("perms/tau-invariance-and-degree", _suite_tau_invariance),
     ("perms/embedded-length", _suite_embedded_length),
-    ("rankset/round-trip", _suite_rank_round_trip),
-    ("rankset/codim-equals-length", _suite_codim_length),
+    (
+        ("rankset/round-trip", "rankset/codim-equals-length"),
+        _suite_rank_round_trip_codim,
+    ),
     ("rankset/interval-rank-identity", _suite_interval_rank),
-    ("rankset/class-oracle-equivalence", _suite_class_oracle),
-    ("rankset/stretch-compatibility", _suite_stretch_compat),
+    (
+        ("rankset/class-oracle-equivalence", "rankset/stretch-compatibility"),
+        _suite_class_oracle_stretch,
+    ),
     ("rankset/permutation-rank-set-identity", _suite_mw_identity),
     ("grassmann/phi-ring-map", _suite_phi_ring_map),
     ("grassmann/pieri-degree", _suite_pieri_degree),
@@ -510,24 +521,33 @@ _SUITES = (
 def run_all(max_n: int) -> list[CheckReport]:
     """Run every invariant suite at the given scale; deterministic order.
 
-    Suites whose cost grows with symmetric-function degree cap their own
-    scale (documented per suite) so that run_all(5) stays within a desk
+    An entry naming one report yields one violation count per case; an
+    entry naming a tuple of reports walks its cases once and yields a tuple
+    of counts per case, one for each name, summed apart into one report
+    each.  Suites whose cost grows with symmetric-function degree cap their
+    own scale (documented per suite) so that run_all(5) stays within a desk
     budget.  max_n = 0 runs nothing.
     """
     if max_n <= 0:
         return []
     reports = []
-    for name, suite in _SUITES:
-        cases = bad = 0
-        for wrong in suite(max_n):
+    for names, suite in _SUITES:
+        if isinstance(names, str):
+            names, counts = (names,), zip(suite(max_n))
+        else:
+            counts = suite(max_n)
+        cases, bad = 0, [0] * len(names)
+        for wrong in counts:
             cases += 1
-            bad += wrong
-        reports.append(
+            for i, w in enumerate(wrong):
+                bad[i] += w
+        reports.extend(
             CheckReport(
                 name=name,
                 expected=f"0 violations in {cases} cases",
-                actual=f"{bad} violations in {cases} cases",
-                passed=bad == 0,
+                actual=f"{b} violations in {cases} cases",
+                passed=b == 0,
             )
+            for name, b in zip(names, bad)
         )
     return reports

@@ -10,6 +10,10 @@ kept to check transition against an unrelated algorithm.
 ``specht_by_fractions`` starts from the library's polytabloid echelon basis
 and pairs characters in ``Fraction`` arithmetic, the route
 ``rankcalc.diagrams.specht_bruteforce`` took before its integer pairing.
+The rank-set and complement formulas at the end are the library's earlier
+set-difference, two-pass and ``partition()`` routes, kept as differential
+references for the single-pass kernels that replaced them; the complement
+keeps its use of ``partition()`` so that it raises what the library raised.
 """
 
 from fractions import Fraction
@@ -17,7 +21,14 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from rankcalc.diagrams import _cycle_type_rep, _polytabloids, _rref_insert
-from rankcalc.partitions import all_partitions, centralizer_order, mn_character
+from rankcalc.errors import NotBounded, NotRankSetShaped, ShapeTooLarge
+from rankcalc.partitions import (
+    all_partitions,
+    centralizer_order,
+    fits,
+    mn_character,
+    partition,
+)
 from rankcalc.perms import AffinePermutation, affine_stanley
 
 
@@ -273,3 +284,42 @@ def column_transfer(cells, i, j):
     return frozenset(
         (r, j) if c == i and (r, j) not in cells else (r, c) for r, c in cells
     )
+
+
+# --- rank sets and box complements, by the library's earlier formulas ---
+
+
+def window_of_intervals(intervals, n):
+    """Window of the bounded affine permutation of a rank set: right ends b
+    go to a + n, the spare positions take the spare values in order."""
+    window = [0] * n
+    for a, b in intervals:
+        window[b - 1] = a + n
+    spare = iter(sorted(set(range(1, n + 1)).difference(a for a, _ in intervals)))
+    return tuple(x or next(spare) for x in window)
+
+
+def intervals_of_window(window):
+    """Rank-set intervals of a bounded window whose entries in [n]
+    increase, sorted by right end; raises as rank_set_of_affine does."""
+    n = len(window)
+    if not all(i <= x <= i + n for i, x in enumerate(window, start=1)):
+        raise NotBounded(window)
+    small = [x for x in window if x <= n]
+    if small != sorted(small):
+        raise NotRankSetShaped(window)
+    return tuple((x - n, p) for p, x in enumerate(window, start=1) if x > n)
+
+
+def rank_variety_dimension(intervals):
+    """Sum over intervals of size minus the number of intervals inside."""
+    return sum(b - a + 1 for a, b in intervals) - sum(
+        r <= a and b <= s for r, s in intervals for a, b in intervals
+    )
+
+
+def box_complement(lam, rows, cols):
+    """Rotated complement of lam in rows x cols, put through partition()."""
+    if not fits(lam, rows, cols):
+        raise ShapeTooLarge(lam)
+    return partition([cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)])

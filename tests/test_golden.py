@@ -2,9 +2,9 @@
 
 ``perfbench/golden/<workload>.json`` maps each query, its argv joined by
 spaces, to the SHA-256 of ``f"{exit code}\\n{stdout}"`` as recorded from the
-seed-1 stream and ladder.  Any change to a CLI output fails here.  The
-``verify`` workload's four outputs are left out: ``verify suite --max-n 7``
-alone takes seconds, and ``tests/test_verify.py`` pins those reports.
+seed-1 stream and ladder.  Any change to a CLI output fails here, the
+``verify`` workload's four reports (the paper replay and the suites at
+``--max-n`` 5, 6 and 7) included.
 """
 
 import hashlib
@@ -18,7 +18,9 @@ from rankcalc.cli import main
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
-@pytest.mark.parametrize("workload", ["stanley", "rank-class", "schubert-specht"])
+@pytest.mark.parametrize(
+    "workload", ["stanley", "rank-class", "schubert-specht", "verify"]
+)
 def test_golden_outputs_replay_unchanged(capsys, workload):
     digests = json.loads((GOLDEN / f"{workload}.json").read_text())["sha256"]
     assert digests

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -23,7 +26,12 @@ from rankcalc.perms import AffinePermutation, check_permutation
 from rankcalc.rankset import RankSet
 from rankcalc.symfunc import SchurExpansion, skew_schur
 
-from oracles import skew_syt_by_filling, syt_by_filling, transpose_cells
+from oracles import (
+    box_complement,
+    skew_syt_by_filling,
+    syt_by_filling,
+    transpose_cells,
+)
 
 
 @st.composite
@@ -111,6 +119,41 @@ def test_complement_examples():
         complement((5,), box)
     with pytest.raises(ShapeTooLarge):
         complement((1, 1, 1, 1, 1), box)
+
+
+def _outcome(fn, *args):
+    """The result with the type of each part, or the type of the exception."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    return out, tuple(map(type, out))
+
+
+def test_complement_matches_its_partition_route():
+    # every box partition of every box up to 7 x 7, 0-row and 0-column boxes
+    # included, against the route through partition()
+    for rows in range(8):
+        for cols in range(8):
+            box = RectangleContext(rows, cols)
+            for size in range(rows * cols + 1):
+                for lam in box_partitions(size, rows, cols):
+                    assert complement(lam, box) == box_complement(lam, rows, cols)
+    # malformed input: increasing, zero, negative and non-integer parts,
+    # negative and non-integer sides; the result or the exception type agree
+    tuples = [()] + [
+        lam
+        for length in range(1, 4)
+        for lam in product(range(-2, 5), repeat=length)
+    ]
+    tuples += [(1.5,), (2.0, 1), (3, 0.5), (Fraction(1, 2),), (True, 1), (3.0,)]
+    sides = [-1, 0, 1, 2, 3, 4, 2.0, True]
+    for lam in tuples:
+        for rows in sides:
+            for cols in sides:
+                assert _outcome(complement, lam, RectangleContext(rows, cols)) == (
+                    _outcome(box_complement, lam, rows, cols)
+                ), (lam, rows, cols)
 
 
 @given(lam=partitions_st(max_size=6), rows=st.integers(0, 5), cols=st.integers(0, 5))

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations, product
 
 import pytest
 
@@ -39,6 +39,12 @@ from rankcalc.rankset import (
     w_of_rank_set,
 )
 from rankcalc.symfunc import monomial_to_schur
+
+from oracles import (
+    intervals_of_window,
+    rank_variety_dimension,
+    window_of_intervals,
+)
 
 
 def test_rank_set_validation_and_canonical_order():
@@ -114,6 +120,38 @@ def test_derived_values_equal_their_validated_construction():
                     assert r == again and rank_set_text(r) == rank_set_text(again)
                 again = AffinePermutation(f.window)
                 assert f == again and window_text(f) == window_text(again)
+
+
+def test_kernels_match_their_earlier_formulas_through_n7():
+    for n in range(1, 8):
+        for k in range(n + 1):
+            for m in all_rank_sets(k, n):
+                f = affine_of_rank_set(m)
+                assert f.window == window_of_intervals(m.intervals, n)
+                assert rank_set_of_affine(f).intervals == m.intervals
+                assert dimension(m) == rank_variety_dimension(m.intervals)
+
+
+def test_rank_set_of_affine_matches_its_earlier_formula_on_every_window():
+    # every window with entries in [0, 2n + 1] and distinct residues: the
+    # unbounded and the unshaped ones raise what the earlier formula raised
+    def outcome(fn, arg):
+        try:
+            return fn(arg)
+        except (NotBounded, NotRankSetShaped) as exc:
+            return type(exc)
+
+    raised = set()
+    for n in range(1, 5):
+        for window in product(range(2 * n + 2), repeat=n):
+            if len({x % n for x in window}) < n:
+                continue
+            want = outcome(intervals_of_window, window)
+            if not isinstance(want, type):
+                want = RankSet(want, n)
+            assert outcome(rank_set_of_affine, AffinePermutation(window)) == want
+            raised.add(want if isinstance(want, type) else None)
+    assert raised == {NotBounded, NotRankSetShaped, None}
 
 
 def test_round_trip_exhaustive_through_n6():

@@ -3,16 +3,17 @@ from dataclasses import asdict
 from importlib import import_module
 
 import rankcalc
+from rankcalc import verify
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
 from rankcalc.verify import (
     CheckReport,
     _suite_box_duality,
-    _suite_codim_length,
+    _suite_class_oracle_stretch,
     _suite_complement_involution,
     _suite_degeneration,
     _suite_james_peel,
-    _suite_rank_round_trip,
+    _suite_rank_round_trip_codim,
     _suite_row_col_invariance,
     _suite_specht_oracle,
     _suite_syt,
@@ -127,10 +128,35 @@ def test_syt_suite_at_scales_7_and_8():
 
 
 def test_rank_set_suites_at_scale_7():
-    # case counts recorded at scale 7 before rank sets were generated directly
-    for suite in (_suite_rank_round_trip, _suite_codim_length):
-        violations = list(suite(7))
-        assert (len(violations), sum(violations)) == (5294, 0), suite.__name__
+    # case counts recorded at scale 7 before rank sets were generated
+    # directly, when round-trip and codim-equals-length were two walks
+    counts = list(_suite_rank_round_trip_codim(7))
+    assert len(counts) == 5294
+    assert [sum(column) for column in zip(*counts)] == [0, 0]
+    # class-oracle-equivalence and stretch-compatibility cap their scale at 5
+    counts = list(_suite_class_oracle_stretch(7))
+    assert len(counts) == 272
+    assert [sum(column) for column in zip(*counts)] == [0, 0]
+
+
+def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
+    def shared(max_n):
+        yield from [(0, 1), (2, 0), (False, True)][:max_n]
+
+    monkeypatch.setattr(
+        verify,
+        "_SUITES",
+        (("single", lambda max_n: iter([1, 0])), (("left", "right"), shared)),
+    )
+    assert [(r.name, r.actual, r.passed) for r in run_all(3)] == [
+        ("single", "1 violations in 2 cases", False),
+        ("left", "2 violations in 3 cases", False),
+        ("right", "2 violations in 3 cases", False),
+    ]
+    assert [r.actual for r in run_all(1)][1:] == [
+        "0 violations in 1 cases",
+        "1 violations in 1 cases",
+    ]
 
 
 def test_diagram_suites_at_scale_7():
