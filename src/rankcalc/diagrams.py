@@ -103,34 +103,29 @@ def diagram_of_permutation(w: Permutation) -> Diagram:
     >>> sorted(diagram_of_permutation((2, 4, 1, 5, 3)).cells)
     [(1, 1), (2, 1), (2, 3), (4, 3)]
     """
-    return Diagram(_inversion_cells(check_permutation(w)))
+    w = check_permutation(w)
+    n = len(w)
+    cells = [(i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]]
+    return Diagram(frozenset(cells))
 
 
 def staircase_pattern(w: Permutation) -> Diagram:
     """Row i carries the interval of columns w(i) .. i + n, inside [n] x [2n]."""
     w = check_permutation(w)
-    return Diagram(_staircase_cells(w), RectangleContext(len(w), 2 * len(w)))
-
-
-def _inversion_cells(w: Permutation) -> frozenset[Cell]:
     n = len(w)
-    return frozenset(
-        (i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
-    )
+    cells = {(i, c) for i in range(1, n + 1) for c in range(w[i - 1], i + n + 1)}
+    return Diagram(frozenset(cells), RectangleContext(n, 2 * n))
 
 
-def _staircase_cells(w: Permutation) -> set[Cell]:
-    n = len(w)
-    return {(i, c) for i in range(1, n + 1) for c in range(w[i - 1], i + n + 1)}
-
-
-def _transfer(cells: set[Cell], i: int, j: int) -> None:
-    """Move, in place, every cell of column i whose row has column j empty."""
+def _transfer(rows: list[int], i: int, j: int) -> None:
+    """Move, in place, bit i to bit j in every row mask whose bit j is clear:
+    the column transfer i -> j on a diagram stored one int per row."""
     if i == j:
         raise ValueError("source and target columns must differ")
-    for r in [r for r, c in cells if c == i and (r, j) not in cells]:
-        cells.remove((r, i))
-        cells.add((r, j))
+    bit_i, both = 1 << i, 1 << i | 1 << j
+    for r, mask in enumerate(rows):
+        if mask & both == bit_i:
+            rows[r] = mask ^ both
 
 
 def james_peel_move(d: Diagram, i: int, j: int) -> Diagram:
@@ -140,9 +135,18 @@ def james_peel_move(d: Diagram, i: int, j: int) -> Diagram:
     >>> sorted(james_peel_move(diagram([(1, 1), (3, 1), (2, 2), (3, 2)]), 1, 2).cells)
     [(1, 2), (2, 2), (3, 1), (3, 2)]
     """
-    cells = set(d.cells)
-    _transfer(cells, i, j)
-    return Diagram(frozenset(cells), d.ctx)
+    # a row as a mask over the only columns the transfer reads, i and j
+    bit = {i: 0, j: 1}  # one key when i == j, which _transfer rejects
+    rows: dict[int, int] = {}
+    for r, c in d.cells:
+        if c in bit:
+            rows[r] = rows.get(r, 0) | 1 << bit[c]
+    masks = list(rows.values())
+    _transfer(masks, bit[i], bit[j])
+    # each row whose mask changed moved its cell from column i to column j
+    moved = [r for r, old, new in zip(rows, rows.values(), masks) if old != new]
+    cells = d.cells.difference([(r, i) for r in moved]).union([(r, j) for r in moved])
+    return Diagram(cells, d.ctx)
 
 
 def degeneration_check(w: Permutation) -> bool:
@@ -154,21 +158,31 @@ def degeneration_check(w: Permutation) -> bool:
     """
     w = check_permutation(w)
     n = len(w)
-    pattern = _staircase_cells(w)
+    # row i as a mask with bit c for column c: columns w(i) .. i + n
+    pattern = [(2 << (i + n)) - (1 << w[i - 1]) for i in range(1, n + 1)]
     for i in range(n, 0, -1):
         _transfer(pattern, n + i, w[i - 1])
     return _degeneration_holds(w, pattern)
 
 
-def _degeneration_holds(w: Permutation, pattern: set[Cell]) -> bool:
-    """The two structure properties degeneration_check tests."""
+def _degeneration_holds(w: Permutation, pattern: list[int]) -> bool:
+    """The two structure properties degeneration_check tests, on row masks."""
     n = len(w)
-    inv = _inversion_cells(w)
-    rows = [{c for r, c in inv if r == i} for i in range(n + 1)]
-    square = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-    return pattern & square == square - inv and all(
-        rows[i] <= rows[j - n] for i, j in pattern if j > n
-    )
+    # row i of the inversion diagram: the values right of w(i) below it
+    inv, seen = [0] * n, 0
+    for i in range(n - 1, -1, -1):
+        inv[i], seen = seen & ((1 << w[i]) - 1), seen | 1 << w[i]
+    square = (2 << n) - 2  # columns 1..n
+    for row, inv_row in zip(pattern, inv):
+        if row & square != square ^ inv_row:
+            return False
+        high = row >> (n + 1)  # bit t: column n + 1 + t, of inversion row t + 1
+        while high:
+            low = high & -high
+            if inv_row & ~inv[low.bit_length() - 1]:
+                return False
+            high ^= low
+    return True
 
 
 def product_diagram(d1: Diagram, ctx1: RectangleContext, d2: Diagram) -> Diagram:

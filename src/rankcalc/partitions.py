@@ -63,18 +63,35 @@ def fits(lam: Partition, rows: int, cols: int) -> bool:
 
 def box_partitions(n: int, rows: int, cols: int) -> Iterator[Partition]:
     """The partitions of ``n`` that fit in ``rows`` x ``cols``, in the fixed
-    total order, generated without a discarded branch.
+    total order, generated iteratively without a discarded branch: one list
+    steps in place from the least partition to each lexicographic successor.
 
     >>> list(box_partitions(4, 2, 3))
     [(2, 2), (3, 1)]
     """
     if n == 0:
         yield ()
-    elif 0 < n <= rows * cols:
-        # the least first part that lets `rows` parts reach n
-        for first in range(max(1, -(-n // rows)), min(n, cols) + 1):
-            for rest in box_partitions(n - first, rows - 1, first):
-                yield (first,) + rest
+    # a negative side must stop here, or the fill below would never end
+    if not (cols > 0 and 0 < n <= rows * cols):
+        return
+    parts, i, rem = [], -1, n
+    while True:
+        # fill the rows after part i with the least partition of rem
+        left = rows - i - 1
+        while rem:
+            p = -(-rem // left)
+            parts.append(p)
+            rem, left = rem - p, left - 1
+        yield tuple(parts)
+        # the rightmost part but the last below its cap takes one cell more
+        i, rem = len(parts) - 2, parts[-1] - 1
+        while i >= 0 and parts[i] == (parts[i - 1] if i else cols):
+            rem += parts[i]
+            i -= 1
+        if i < 0:
+            return
+        parts[i] += 1
+        del parts[i + 1:]
 
 
 @lru_cache(maxsize=None)

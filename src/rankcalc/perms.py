@@ -158,9 +158,7 @@ def tau_shift(f: AffinePermutation, left: int, right: int) -> AffinePermutation:
 def _length(window: tuple[int, ...]) -> int:
     # Shi's formula: sum over i < j in [n] of |floor((f(j) - f(i)) / n)|
     n = len(window)
-    return sum(
-        abs((window[j] - window[i]) // n) for j in range(n) for i in range(j)
-    )
+    return sum(abs((y - x) // n) for x, y in combinations(window, 2))
 
 
 def length(f: AffinePermutation) -> int:

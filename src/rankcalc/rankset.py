@@ -29,7 +29,6 @@ from .perms import (
     AffinePermutation,
     Permutation,
     check_permutation,
-    evaluate,
 )
 
 Interval = tuple[int, int]
@@ -200,17 +199,14 @@ def w_of_rank_set(m: RankSet) -> Permutation:
     if not m.intervals:
         raise EmptyRankSet("w_of_rank_set requires a nonempty rank set")
     steps = minimal_stretch(m)
-    stretched = m
-    for _ in range(steps):
-        stretched = stretch(stretched)
-    assert minimal_stretch(stretched) == 0
-    f = affine_of_rank_set(stretched)
-    b = stretched.intervals[0][1]
-    y = evaluate(f, b - 1)
-    n2 = stretched.ambient_n
-    return check_permutation(
-        evaluate(f, b - 2 + i) - y + 1 for i in range(1, n2 + 1)
-    )
+    n2 = m.ambient_n + steps
+    stretched = RankSet._trusted(tuple((a, b + steps) for a, b in m.intervals), n2)
+    window = affine_of_rank_set(stretched).window
+    # stretched, every left end is below b, so b >= 2 and f(b - 1), ...,
+    # f(b + n2 - 2) are the window from index b - 2 on, then its head + n2
+    s = stretched.intervals[0][1] - 2
+    y = window[s] - 1
+    return tuple(x - y for x in window[s:] + tuple(x + n2 for x in window[:s]))
 
 
 def rank_set_of_permutation(w: Permutation) -> RankSet:

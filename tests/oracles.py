@@ -14,6 +14,8 @@ The rank-set and complement formulas at the end are the library's earlier
 set-difference, two-pass and ``partition()`` routes, kept as differential
 references for the single-pass kernels that replaced them; the complement
 keeps its use of ``partition()`` so that it raises what the library raised.
+So are the earlier recursive box enumerator, the degeneration predicate on
+cell sets and the stretch-loop extraction of w from a rank set.
 """
 
 from fractions import Fraction
@@ -323,3 +325,41 @@ def box_complement(lam, rows, cols):
     if not fits(lam, rows, cols):
         raise ShapeTooLarge(lam)
     return partition([cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)])
+
+
+def w_by_stretching(intervals, n):
+    """The permutation of a nonempty rank set: stretch one step at a time
+    until every left end is below every right end, then read the window
+    from the least right end b on: w(i) = f(b-2+i) - f(b-1) + 1."""
+    while max(a for a, _ in intervals) >= min(b for _, b in intervals):
+        intervals = tuple((a, b + 1) for a, b in intervals)
+        n += 1
+    window = window_of_intervals(intervals, n)
+    b = min(b for _, b in intervals)
+    y = window_eval(window, b - 1)
+    return tuple(window_eval(window, b - 2 + i) - y + 1 for i in range(1, n + 1))
+
+
+def box_partitions_by_recursion(n, rows, cols):
+    """The partitions of n in rows x cols, least first part first, each
+    followed by the partitions of the rest below it, one frame per part."""
+    if n == 0:
+        yield ()
+    elif 0 < n <= rows * cols:
+        for first in range(max(1, -(-n // rows)), min(n, cols) + 1):
+            for rest in box_partitions_by_recursion(n - first, rows - 1, first):
+                yield (first,) + rest
+
+
+def degeneration_holds(w, pattern):
+    """The structure properties of a transferred staircase pattern, given
+    as a cell set: inside the first n columns it is the complement of the
+    inversion diagram, and a cell (i, j) with j > n needs row j - n of the
+    inversion diagram to contain row i."""
+    n = len(w)
+    inv = {(i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]}
+    rows = [{c for r, c in inv if r == i} for i in range(n + 1)]
+    square = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    return pattern & square == square - inv and all(
+        rows[i] <= rows[j - n] for i, j in pattern if j > n
+    )

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations, product
 
 import pytest
 
@@ -108,6 +108,23 @@ def test_degeneration_check():
             assert degeneration_check(w)
 
 
+def _cells_of_rows(pattern):
+    """The cells of row masks: bit c of pattern[i - 1] is the cell (i, c)."""
+    return frozenset(
+        (i, c)
+        for i, mask in enumerate(pattern, start=1)
+        for c in range(mask.bit_length())
+        if mask >> c & 1
+    )
+
+
+def _rows_of_cells(cells, n):
+    pattern = [0] * n
+    for i, c in cells:
+        pattern[i - 1] |= 1 << c
+    return pattern
+
+
 def test_degeneration_transfers_match_james_peel_fold(monkeypatch):
     # degeneration_check is True on every permutation, so compare the
     # pattern it tests, cell for cell, with two folds over the staircase
@@ -115,7 +132,7 @@ def test_degeneration_transfers_match_james_peel_fold(monkeypatch):
     monkeypatch.setattr(
         diagrams,
         "_degeneration_holds",
-        lambda w, pattern: seen.append(frozenset(pattern)) or True,
+        lambda w, pattern: seen.append(_cells_of_rows(pattern)) or True,
     )
     for n in range(1, 7):
         for w in iter_permutations(range(1, n + 1)):
@@ -134,12 +151,50 @@ def test_degeneration_structure_rejects_broken_patterns():
     w = (2, 1)
     good = {(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)}
     assert good == staircase_pattern(w).cells
-    assert diagrams._degeneration_holds(w, good)
+
+    def holds(cells):
+        return diagrams._degeneration_holds(w, _rows_of_cells(cells, 2))
+
+    assert holds(good)
     # (1, 4) needs row 1 of the inversion diagram, {1}, inside row 2, {}
-    assert not diagrams._degeneration_holds(w, good | {(1, 4)})
+    assert not holds(good | {(1, 4)})
     # the first two columns must be the complement of the inversion diagram
-    assert not diagrams._degeneration_holds(w, good - {(1, 2)})
-    assert not diagrams._degeneration_holds(w, good | {(1, 1)})
+    assert not holds(good - {(1, 2)})
+    assert not holds(good | {(1, 1)})
+
+
+def test_degeneration_predicate_matches_cell_sets():
+    # every permutation passes, so toggle each cell of [n] x [2n] in the
+    # transferred pattern, one at a time, to reach the reject branches
+    verdicts = set()
+    for n in range(1, 6):
+        for w in iter_permutations(range(1, n + 1)):
+            pattern = staircase_pattern(w).cells
+            for i in range(n, 0, -1):
+                pattern = oracles.column_transfer(pattern, n + i, w[i - 1])
+            for cell in product(range(1, n + 1), range(1, 2 * n + 1)):
+                toggled = pattern ^ {cell}
+                want = oracles.degeneration_holds(w, toggled)
+                got = diagrams._degeneration_holds(w, _rows_of_cells(toggled, n))
+                assert got == want, (w, cell)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_james_peel_move_matches_cell_transfer():
+    # columns below 1 included: no cell moves out of one, and a cell moved
+    # into one is rejected by Diagram, as on the cell set
+    def outcome(fn):
+        try:
+            return fn().cells
+        except ValueError:
+            return ValueError
+
+    for d in box_diagrams(2, 3, 6):
+        for i, j in product(range(-1, 5), repeat=2):
+            if i != j:
+                want = outcome(lambda: diagram(oracles.column_transfer(d.cells, i, j)))
+                assert outcome(lambda: james_peel_move(d, i, j)) == want, (d, i, j)
 
 
 def test_product_diagram():

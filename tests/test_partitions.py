@@ -28,6 +28,7 @@ from rankcalc.symfunc import SchurExpansion, skew_schur
 
 from oracles import (
     box_complement,
+    box_partitions_by_recursion,
     skew_syt_by_filling,
     syt_by_filling,
     transpose_cells,
@@ -95,6 +96,16 @@ def test_box_partitions_filter_all_partitions():
                     if len(lam) <= rows and (not lam or lam[0] <= cols)
                 )
                 assert tuple(box_partitions(n, rows, cols)) == want, (n, rows, cols)
+
+
+def test_box_partitions_match_the_recursive_enumerator():
+    # order included; a negative side or size yields nothing, except that
+    # the empty partition is the one partition of 0 in any box
+    for n in range(-2, 31):
+        for rows in range(-2, 9):
+            for cols in range(-2, 9):
+                want = list(box_partitions_by_recursion(n, rows, cols))
+                assert list(box_partitions(n, rows, cols)) == want, (n, rows, cols)
 
 
 def test_conjugate_examples():

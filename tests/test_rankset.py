@@ -43,6 +43,7 @@ from rankcalc.symfunc import monomial_to_schur
 from oracles import (
     intervals_of_window,
     rank_variety_dimension,
+    w_by_stretching,
     window_of_intervals,
 )
 
@@ -215,6 +216,18 @@ def test_w_of_rank_set_worked_example():
     assert w_of_rank_set(m) == (1, 3, 2, 6, 5, 4, 7, 8)
     with pytest.raises(EmptyRankSet):
         w_of_rank_set(rank_set([], 4))
+
+
+def test_w_of_rank_set_matches_the_stretch_loop_through_n8():
+    count = 0
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for m in all_rank_sets(k, n):
+                w = w_of_rank_set(m)
+                assert w == w_by_stretching(m.intervals, n), m
+                assert sorted(w) == list(range(1, n + minimal_stretch(m) + 1)), m
+                count += 1
+    assert count == 26433
 
 
 def test_w_of_rank_set_class_is_sigma22():
