@@ -56,10 +56,19 @@ Cell = tuple[int, int]
 
 @dataclass(frozen=True)
 class Diagram:
-    """A finite set of (row, col) cells, optionally with a bounding box."""
+    """A finite set of (row, col) cells, optionally with a bounding box.
+    The public constructor validates the cells; _trusted does not."""
 
     cells: frozenset[Cell]
     ctx: RectangleContext | None = None
+
+    @classmethod
+    def _trusted(cls, cells: frozenset[Cell], ctx: RectangleContext | None = None) -> Diagram:
+        """No checks: the caller guarantees a frozenset of int pairs (r, c)
+        with r, c >= 1, inside ctx when ctx is given."""
+        self = object.__new__(cls)
+        self.__dict__.update(cells=cells, ctx=ctx)
+        return self
 
     def __post_init__(self):
         cells = frozenset((index(r), index(c)) for r, c in self.cells)
@@ -94,7 +103,7 @@ def complement_rotate(d: Diagram, ctx: RectangleContext) -> Diagram:
         for c in range(1, cols + 1)
         if (r, c) not in d.cells
     )
-    return Diagram(out, ctx)
+    return Diagram._trusted(out, ctx)
 
 
 def diagram_of_permutation(w: Permutation) -> Diagram:
@@ -106,7 +115,7 @@ def diagram_of_permutation(w: Permutation) -> Diagram:
     w = check_permutation(w)
     n = len(w)
     cells = [(i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]]
-    return Diagram(frozenset(cells))
+    return Diagram._trusted(frozenset(cells))
 
 
 def staircase_pattern(w: Permutation) -> Diagram:
@@ -114,7 +123,7 @@ def staircase_pattern(w: Permutation) -> Diagram:
     w = check_permutation(w)
     n = len(w)
     cells = {(i, c) for i in range(1, n + 1) for c in range(w[i - 1], i + n + 1)}
-    return Diagram(frozenset(cells), RectangleContext(n, 2 * n))
+    return Diagram._trusted(frozenset(cells), RectangleContext(n, 2 * n))
 
 
 def _transfer(rows: list[int], i: int, j: int) -> None:
@@ -145,8 +154,13 @@ def james_peel_move(d: Diagram, i: int, j: int) -> Diagram:
     _transfer(masks, bit[i], bit[j])
     # each row whose mask changed moved its cell from column i to column j
     moved = [r for r, old, new in zip(rows, rows.values(), masks) if old != new]
+    if not moved:
+        return d
+    # the moved cells differ from cells of d only in their column j, so the
+    # public check of one of them checks them all
+    ((_, j),) = Diagram({(moved[0], j)}, d.ctx).cells
     cells = d.cells.difference([(r, i) for r in moved]).union([(r, j) for r in moved])
-    return Diagram(cells, d.ctx)
+    return Diagram._trusted(cells, d.ctx)
 
 
 def degeneration_check(w: Permutation) -> bool:

@@ -13,9 +13,10 @@ permutation visible are all here.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, compress
-from operator import index, itemgetter
+from operator import index, itemgetter, le
 from typing import Iterator
 
 from .errors import (
@@ -234,23 +235,25 @@ def all_rank_sets(k: int, n: int) -> Iterator[RankSet]:
                 yield RankSet._trusted(intervals, n)
 
 
-def _placements(
-    lefts: tuple, rights: tuple, placed: tuple = ()
-) -> Iterator[tuple[Interval, ...]]:
+def _placements(lefts: tuple, rights: tuple) -> Iterator[tuple[Interval, ...]]:
     """The orderings of the increasing tuple lefts whose i-th entry is at
     most rights[i], in lexicographic order, each yielded as its tuple of
-    intervals (a_i, rights[i]).  placed holds the intervals fixed so far,
-    and lefts the left ends still free."""
-    i = len(placed)
-    if i == len(rights):
-        yield placed
+    intervals (a_i, rights[i]).  Iterative: a stack of (intervals placed,
+    lefts still free), each node's children pushed greatest left first so
+    that the least pops first."""
+    # some ordering fits exactly when the i-th least left is at most rights[i]
+    if not all(map(le, lefts, rights)):
         return
-    b = rights[i]
-    for j, a in enumerate(lefts):
-        if a > b:
-            return
-        rest = lefts[:j] + lefts[j + 1:]
-        yield from _placements(rest, rights, placed + ((a, b),))
+    k = len(rights)
+    stack = [((), lefts)]
+    while stack:
+        placed, rest = stack.pop()
+        if len(placed) == k:
+            yield placed
+            continue
+        b = rights[len(placed)]
+        for j in range(bisect_right(rest, b) - 1, -1, -1):
+            stack.append((placed + ((rest[j], b),), rest[:j] + rest[j + 1:]))
 
 
 def rank_set_text(m: RankSet) -> str:

@@ -12,13 +12,17 @@ each suite yields a violation count per case over an enumerated or seeded
 deterministic family of cases, and run_all counts and reports them.  Checks
 that share a family and its costly intermediates (a rank set's window, the
 class of w_M) share one suite: its entry names a tuple of reports, and it
-yields one count per report for each case.
+yields one count per report for each case.  The suites are table data: each
+entry of _SUITES holds its report names, its suite and its scale cap (None
+for uncapped), and each suite's tally is memoized per scale it uses, so a
+capped suite is walked once per process, not once per larger scale.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations
 
 from .diagrams import (
@@ -235,7 +239,7 @@ def _suite_complement_involution(max_n: int):
 
 
 def _suite_orthogonality(max_n: int):
-    for m in range(1, min(max_n, 6) + 1):
+    for m in range(1, max_n + 1):
         parts = all_partitions(m)
         for mu in parts:
             for nu in parts:
@@ -262,10 +266,9 @@ def _suite_kostka_round_trip(max_n: int):
 
 
 def _suite_product_laws(max_n: int):
-    bound = min(max_n, 4)
     singles = [
         SchurExpansion.basis(lam)
-        for size in range(1, bound + 1)
+        for size in range(1, max_n + 1)
         for lam in all_partitions(size)
     ]
     for a in singles:
@@ -304,12 +307,12 @@ def _bounded_affine_permutations(n: int):
 
 
 def _suite_stanley_stability(max_n: int):
-    for w in _permutations(min(max_n, 5)):
+    for w in _permutations(max_n):
         yield stanley(w) != stanley(direct_sum(w, (1,)))
 
 
 def _suite_stanley_positive(max_n: int):
-    for w in _permutations(min(max_n, 5)):
+    for w in _permutations(max_n):
         yield not stanley(w).is_nonnegative()
 
 
@@ -322,18 +325,16 @@ def _suite_tau_invariance(max_n: int):
             + (base.degree() != length(f))
         )
 
-    for n in range(1, min(max_n, 4) + 1):
-        for f in _bounded_affine_permutations(n):
-            yield probe(f)
-    if max_n >= 5:
-        rng = random.Random(20243)
-        pool = list(_bounded_affine_permutations(5))
-        for f in rng.sample(pool, 40):
+    for n in range(1, max_n + 1):
+        family = _bounded_affine_permutations(n)
+        if n == 5:
+            family = random.Random(20243).sample(list(family), 40)
+        for f in family:
             yield probe(f)
 
 
 def _suite_embedded_length(max_n: int):
-    for w in _permutations(min(max_n, 5)):
+    for w in _permutations(max_n):
         yield length(embed(w)) != inversions(w)
 
 
@@ -346,7 +347,7 @@ def _suite_rank_round_trip_codim(max_n: int):
 
 
 def _suite_interval_rank(max_n: int):
-    for _, n, m in _rank_sets(min(max_n, 5)):
+    for _, n, m in _rank_sets(max_n):
         f = affine_of_rank_set(m)
         for r in range(1, n + 1):
             for s in range(r, n + 1):
@@ -358,7 +359,7 @@ def _suite_interval_rank(max_n: int):
 def _suite_class_oracle_stretch(max_n: int):
     """Per rank set: the class of w_M against the class from its affine
     Stanley function, and against the class of w of its stretch."""
-    for k, n, m in _rank_sets(min(max_n, 5), min_k=1):
+    for k, n, m in _rank_sets(max_n, min_k=1):
         from_w = phi(stanley(w_of_rank_set(m)), k, n)
         from_f = phi(
             monomial_to_schur(affine_stanley(affine_of_rank_set(m))), k, n
@@ -370,7 +371,7 @@ def _suite_class_oracle_stretch(max_n: int):
 
 
 def _suite_mw_identity(max_n: int):
-    for w in _permutations(min(max_n, 4)):
+    for w in _permutations(max_n):
         n = len(w)
         f = affine_of_rank_set(rank_set_of_permutation(w))
         expected_window = tuple(range(n + 1, 2 * n + 1)) + tuple(
@@ -388,7 +389,7 @@ def _suite_phi_ring_map(max_n: int):
     """phi is a ring map: truncating the unclipped Schur product equals
     class_product, which runs the LR rule only inside k x (n-k)."""
     rng = random.Random(20241)
-    contexts = [(k, n) for n in range(2, min(max_n, 5) + 1) for k in range(1, n)]
+    contexts = [(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
     for k, n in contexts:
         parts = [lam for size in range(1, 4) for lam in all_partitions(size)]
         for _ in range(4):
@@ -400,7 +401,7 @@ def _suite_phi_ring_map(max_n: int):
 
 
 def _suite_pieri_degree(max_n: int):
-    for n in range(2, min(max_n, 5) + 1):
+    for n in range(2, max_n + 1):
         for k in range(1, n):
             sigma1 = schubert_class((1,), k, n)
             point = point_class(k, n)
@@ -414,12 +415,12 @@ def _suite_pieri_degree(max_n: int):
 
 
 def _suite_rothe_inversions(max_n: int):
-    for w in _permutations(min(max_n, 6)):
+    for w in _permutations(max_n):
         yield len(diagram_of_permutation(w).cells) != inversions(w)
 
 
 def _suite_degeneration(max_n: int):
-    for w in _permutations(min(max_n, 6)):
+    for w in _permutations(max_n):
         yield not degeneration_check(w)
 
 
@@ -431,7 +432,7 @@ def _all_box_diagrams(rows: int, cols: int, max_size: int):
 
 
 def _suite_james_peel(max_n: int):
-    for d in _all_box_diagrams(3, 3, min(max_n, 4)):
+    for d in _all_box_diagrams(3, 3, max_n):
         base = specht_bruteforce(d)
         for i in range(1, 4):
             for j in range(1, 4):
@@ -442,8 +443,7 @@ def _suite_james_peel(max_n: int):
 
 
 def _suite_specht_oracle(max_n: int):
-    bound = min(max_n, 4)
-    for d in _all_box_diagrams(3, 3, bound):
+    for d in _all_box_diagrams(3, 3, max_n):
         try:
             ruled = specht_schur(d)
         except UnsupportedDiagram:
@@ -452,7 +452,7 @@ def _suite_specht_oracle(max_n: int):
     for n in range(2, 5):
         for w in iter_permutations(range(1, n + 1)):
             d = diagram_of_permutation(w)
-            if len(d.cells) > bound:
+            if len(d.cells) > max_n:
                 continue
             ruled = specht_schur(d, f"perm:{permutation_text(w)}")
             yield ruled != specht_bruteforce(d)
@@ -461,7 +461,7 @@ def _suite_specht_oracle(max_n: int):
 def _suite_box_duality(max_n: int):
     boxes = [RectangleContext(2, 2), RectangleContext(2, 3), RectangleContext(3, 2)]
     for ctx in boxes:
-        for d in _all_box_diagrams(ctx.rows, ctx.cols, min(max_n, 4)):
+        for d in _all_box_diagrams(ctx.rows, ctx.cols, max_n):
             boxed = diagram(d.cells, ctx)
             dual_cells = complement_rotate(boxed, ctx)
             if len(dual_cells.cells) > 5:
@@ -475,7 +475,7 @@ def _suite_box_duality(max_n: int):
 
 def _suite_row_col_invariance(max_n: int):
     rng = random.Random(20242)
-    pool = [d for d in _all_box_diagrams(3, 3, min(max_n, 4)) if d.cells]
+    pool = [d for d in _all_box_diagrams(3, 3, max_n) if d.cells]
     for d in rng.sample(pool, min(25, len(pool))):
         base = specht_bruteforce(d)
         perm_rows = rng.sample(range(1, 4), 3)
@@ -487,35 +487,51 @@ def _suite_row_col_invariance(max_n: int):
 
 
 _SUITES = (
-    ("partitions/syt-hook-vs-enumeration", _suite_syt),
-    ("partitions/lr-symmetry", _suite_lr_symmetry),
-    ("partitions/complement-involution", _suite_complement_involution),
-    ("partitions/character-orthogonality", _suite_orthogonality),
-    ("symfunc/kostka-round-trip", _suite_kostka_round_trip),
-    ("symfunc/product-laws", _suite_product_laws),
-    ("perms/stanley-stability", _suite_stanley_stability),
-    ("perms/stanley-schur-positive", _suite_stanley_positive),
-    ("perms/tau-invariance-and-degree", _suite_tau_invariance),
-    ("perms/embedded-length", _suite_embedded_length),
+    ("partitions/syt-hook-vs-enumeration", _suite_syt, None),
+    ("partitions/lr-symmetry", _suite_lr_symmetry, None),
+    ("partitions/complement-involution", _suite_complement_involution, None),
+    ("partitions/character-orthogonality", _suite_orthogonality, 6),
+    ("symfunc/kostka-round-trip", _suite_kostka_round_trip, None),
+    ("symfunc/product-laws", _suite_product_laws, 4),
+    ("perms/stanley-stability", _suite_stanley_stability, 5),
+    ("perms/stanley-schur-positive", _suite_stanley_positive, 5),
+    ("perms/tau-invariance-and-degree", _suite_tau_invariance, 5),
+    ("perms/embedded-length", _suite_embedded_length, 5),
     (
         ("rankset/round-trip", "rankset/codim-equals-length"),
         _suite_rank_round_trip_codim,
+        None,
     ),
-    ("rankset/interval-rank-identity", _suite_interval_rank),
+    ("rankset/interval-rank-identity", _suite_interval_rank, 5),
     (
         ("rankset/class-oracle-equivalence", "rankset/stretch-compatibility"),
         _suite_class_oracle_stretch,
+        5,
     ),
-    ("rankset/permutation-rank-set-identity", _suite_mw_identity),
-    ("grassmann/phi-ring-map", _suite_phi_ring_map),
-    ("grassmann/pieri-degree", _suite_pieri_degree),
-    ("diagrams/rothe-inversions", _suite_rothe_inversions),
-    ("diagrams/degeneration", _suite_degeneration),
-    ("diagrams/james-peel-monotonicity", _suite_james_peel),
-    ("diagrams/specht-oracle-agreement", _suite_specht_oracle),
-    ("diagrams/box-duality", _suite_box_duality),
-    ("diagrams/row-col-invariance", _suite_row_col_invariance),
+    ("rankset/permutation-rank-set-identity", _suite_mw_identity, 4),
+    ("grassmann/phi-ring-map", _suite_phi_ring_map, 5),
+    ("grassmann/pieri-degree", _suite_pieri_degree, 5),
+    ("diagrams/rothe-inversions", _suite_rothe_inversions, 6),
+    ("diagrams/degeneration", _suite_degeneration, 6),
+    ("diagrams/james-peel-monotonicity", _suite_james_peel, 4),
+    ("diagrams/specht-oracle-agreement", _suite_specht_oracle, 4),
+    ("diagrams/box-duality", _suite_box_duality, 4),
+    ("diagrams/row-col-invariance", _suite_row_col_invariance, 4),
 )
+
+
+@lru_cache(maxsize=256)
+def _tally(suite, width: int, scale: int) -> tuple[int, tuple[int, ...]]:
+    """Walk suite at scale: its case count and the violations of each of its
+    width reports.  Memoized, since a suite's answer depends only on these;
+    keyed on the function object, so a replaced suite is walked afresh."""
+    counts = suite(scale) if width > 1 else zip(suite(scale))
+    cases, bad = 0, [0] * width
+    for wrong in counts:
+        cases += 1
+        for i, w in enumerate(wrong):
+            bad[i] += w
+    return cases, tuple(bad)
 
 
 def run_all(max_n: int) -> list[CheckReport]:
@@ -524,23 +540,20 @@ def run_all(max_n: int) -> list[CheckReport]:
     An entry naming one report yields one violation count per case; an
     entry naming a tuple of reports walks its cases once and yields a tuple
     of counts per case, one for each name, summed apart into one report
-    each.  Suites whose cost grows with symmetric-function degree cap their
-    own scale (documented per suite) so that run_all(5) stays within a desk
-    budget.  max_n = 0 runs nothing.
+    each.  A suite whose cost grows with symmetric-function degree carries
+    a scale cap in its _SUITES entry and is walked at min(max_n, cap).  Each
+    suite's tally is memoized per scale it uses, so a capped suite is walked
+    once per process however many larger scales follow; clear_caches()
+    empties the memo.  max_n = 0 runs nothing.
     """
     if max_n <= 0:
         return []
     reports = []
-    for names, suite in _SUITES:
+    for names, suite, cap in _SUITES:
         if isinstance(names, str):
-            names, counts = (names,), zip(suite(max_n))
-        else:
-            counts = suite(max_n)
-        cases, bad = 0, [0] * len(names)
-        for wrong in counts:
-            cases += 1
-            for i, w in enumerate(wrong):
-                bad[i] += w
+            names = (names,)
+        scale = max_n if cap is None else min(max_n, cap)
+        cases, bad = _tally(suite, len(names), scale)
         reports.extend(
             CheckReport(
                 name=name,

@@ -363,3 +363,18 @@ def degeneration_holds(w, pattern):
     return pattern & square == square - inv and all(
         rows[i] <= rows[j - n] for i, j in pattern if j > n
     )
+
+
+def placements_by_recursion(lefts, rights, placed=()):
+    """The orderings of the increasing tuple lefts with i-th entry at most
+    rights[i], lexicographically, as interval tuples; one frame per interval."""
+    i = len(placed)
+    if i == len(rights):
+        yield placed
+        return
+    b = rights[i]
+    for j, a in enumerate(lefts):
+        if a > b:
+            return
+        rest = lefts[:j] + lefts[j + 1:]
+        yield from placements_by_recursion(rest, rights, placed + ((a, b),))

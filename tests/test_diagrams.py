@@ -5,6 +5,7 @@ import pytest
 import oracles
 from rankcalc import diagrams
 from rankcalc.diagrams import (
+    Diagram,
     complement_rotate,
     degeneration_check,
     diagram,
@@ -195,6 +196,35 @@ def test_james_peel_move_matches_cell_transfer():
             if i != j:
                 want = outcome(lambda: diagram(oracles.column_transfer(d.cells, i, j)))
                 assert outcome(lambda: james_peel_move(d, i, j)) == want, (d, i, j)
+
+
+def test_derived_diagrams_equal_their_validated_construction():
+    # these build their results without re-checking them; each must equal,
+    # cell types and hash included, what the public constructor makes of
+    # its fields, and a boxed transfer out of the box must still raise
+    def same(d):
+        again = Diagram(d.cells, d.ctx)
+        assert type(d.cells) is frozenset and d == again and hash(d) == hash(again)
+        assert all(type(r) is int and type(c) is int for r, c in d.cells), d
+
+    for n in range(1, 6):
+        for w in iter_permutations(range(1, n + 1)):
+            same(diagram_of_permutation(w))
+            same(staircase_pattern(w))
+    box = RectangleContext(2, 3)
+    for d in box_diagrams(2, 3, 6):
+        boxed = diagram(d.cells, box)
+        same(complement_rotate(d, box))
+        for i, j in product(range(1, 5), repeat=2):
+            if i == j:
+                continue
+            same(james_peel_move(d, i, j))
+            cells = oracles.column_transfer(d.cells, i, j)
+            if all(c <= 3 for _, c in cells):
+                same(james_peel_move(boxed, i, j))
+            else:
+                with pytest.raises(ValueError):
+                    james_peel_move(boxed, i, j)
 
 
 def test_product_diagram():

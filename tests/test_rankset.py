@@ -37,11 +37,13 @@ from rankcalc.rankset import (
     rank_set_text,
     stretch,
     w_of_rank_set,
+    _placements,
 )
 from rankcalc.symfunc import monomial_to_schur
 
 from oracles import (
     intervals_of_window,
+    placements_by_recursion,
     rank_variety_dimension,
     w_by_stretching,
     window_of_intervals,
@@ -329,6 +331,15 @@ def test_all_rank_sets_matches_the_filter():
             ]
             generated = [m.intervals for m in all_rank_sets(k, n)]
             assert generated == filtered, (k, n)
+
+
+def test_placements_match_the_recursive_enumeration_through_n7():
+    # every pair of equal-size endpoint sets in [1, 7], order included
+    for k in range(8):
+        for rights in combinations(range(1, 8), k):
+            for lefts in combinations(range(1, 8), k):
+                want = list(placements_by_recursion(lefts, rights))
+                assert list(_placements(lefts, rights)) == want, (lefts, rights)
 
 
 def test_text_round_trip():

@@ -2,20 +2,15 @@ import pkgutil
 from dataclasses import asdict
 from importlib import import_module
 
+import pytest
+
 import rankcalc
 from rankcalc import verify
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
 from rankcalc.verify import (
     CheckReport,
-    _suite_box_duality,
-    _suite_class_oracle_stretch,
     _suite_complement_involution,
-    _suite_degeneration,
-    _suite_james_peel,
-    _suite_rank_round_trip_codim,
-    _suite_row_col_invariance,
-    _suite_specht_oracle,
     _suite_syt,
     check_class_bound,
     known_diagonal_class,
@@ -127,16 +122,30 @@ def test_syt_suite_at_scales_7_and_8():
         assert (len(violations), sum(violations)) == (cases, 0), scale
 
 
+def _run_entry(name, max_n):
+    """run_all(max_n) restricted to the _SUITES entry reporting name: each
+    report's actual text, by report name, through the capped, memoized
+    tally run_all uses."""
+    entry = next(
+        e for e in verify._SUITES if name in ((e[0],) if isinstance(e[0], str) else e[0])
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_SUITES", (entry,))
+        return {r.name: r.actual for r in run_all(max_n)}
+
+
 def test_rank_set_suites_at_scale_7():
     # case counts recorded at scale 7 before rank sets were generated
     # directly, when round-trip and codim-equals-length were two walks
-    counts = list(_suite_rank_round_trip_codim(7))
-    assert len(counts) == 5294
-    assert [sum(column) for column in zip(*counts)] == [0, 0]
+    assert _run_entry("rankset/round-trip", 7) == {
+        "rankset/round-trip": "0 violations in 5294 cases",
+        "rankset/codim-equals-length": "0 violations in 5294 cases",
+    }
     # class-oracle-equivalence and stretch-compatibility cap their scale at 5
-    counts = list(_suite_class_oracle_stretch(7))
-    assert len(counts) == 272
-    assert [sum(column) for column in zip(*counts)] == [0, 0]
+    assert _run_entry("rankset/class-oracle-equivalence", 7) == {
+        "rankset/class-oracle-equivalence": "0 violations in 272 cases",
+        "rankset/stretch-compatibility": "0 violations in 272 cases",
+    }
 
 
 def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
@@ -146,7 +155,10 @@ def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
     monkeypatch.setattr(
         verify,
         "_SUITES",
-        (("single", lambda max_n: iter([1, 0])), (("left", "right"), shared)),
+        (
+            ("single", lambda max_n: iter([1, 0]), None),
+            (("left", "right"), shared, None),
+        ),
     )
     assert [(r.name, r.actual, r.passed) for r in run_all(3)] == [
         ("single", "1 violations in 2 cases", False),
@@ -160,20 +172,44 @@ def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
 
 
 def test_diagram_suites_at_scale_7():
-    violations = list(_suite_degeneration(7))
-    assert (len(violations), sum(violations)) == (873, 0)
+    # degeneration caps its scale at 6: every permutation of up to 6 letters
+    assert _run_entry("diagrams/degeneration", 7) == {
+        "diagrams/degeneration": "0 violations in 873 cases"
+    }
     # the Specht suites cap their diagrams at 4 cells, so at scale 7 they
     # keep the case counts of run_all(4), however much the oracle's memo
     # already holds
     cases = dict(RUN_ALL_4_CASES)
-    for name, suite in (
-        ("diagrams/james-peel-monotonicity", _suite_james_peel),
-        ("diagrams/specht-oracle-agreement", _suite_specht_oracle),
-        ("diagrams/box-duality", _suite_box_duality),
-        ("diagrams/row-col-invariance", _suite_row_col_invariance),
+    for name in (
+        "diagrams/james-peel-monotonicity",
+        "diagrams/specht-oracle-agreement",
+        "diagrams/box-duality",
+        "diagrams/row-col-invariance",
     ):
-        violations = list(suite(7))
-        assert (len(violations), sum(violations)) == (cases[name], 0), name
+        assert _run_entry(name, 7) == {name: f"0 violations in {cases[name]} cases"}
+
+
+def test_run_all_walks_a_capped_suite_once_per_scale(monkeypatch):
+    walks = []
+
+    def stub(max_n):
+        walks.append(max_n)
+        return iter([False] * max_n)
+
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, 2),))
+    for max_n in (2, 3, 5):
+        assert [r.actual for r in run_all(max_n)] == ["0 violations in 2 cases"]
+    assert walks == [2]
+    rankcalc.clear_caches()
+    run_all(3)
+    assert walks == [2, 2]
+
+
+def test_memoized_run_all_matches_a_fresh_one():
+    in_sequence = [run_all(max_n) for max_n in (4, 5, 6)]
+    for max_n, reports in zip((4, 5, 6), in_sequence):
+        rankcalc.clear_caches()
+        assert run_all(max_n) == reports, max_n
 
 
 def _memo_tables():
@@ -189,6 +225,8 @@ def _memo_tables():
 def test_clear_caches_empties_every_table():
     tables = _memo_tables()
     oracle = tables["rankcalc.diagrams._polytabloid_expansion"]
+    # a memo hit left by an earlier run_all would skip the Specht suites
+    rankcalc.clear_caches()
     run_all(3)
     assert oracle.cache_info().currsize
     rankcalc.clear_caches()
