@@ -4,8 +4,9 @@ A partition is a plain tuple of weakly decreasing positive integers, e.g.
 ``(4, 4, 2, 2)``; ``()`` is the empty partition.  All counting here is exact
 integer arithmetic: the hook length product is formed as an integer and
 asserted to divide n!, Littlewood-Richardson coefficients are obtained by
-enumerating the tableaux they count, and characters come from the
-border-strip recursion.
+enumerating the ballot tableaux they count, and characters come from the
+border-strip recursion.  Kostka numbers are not counted here: symfunc gets
+them from horizontal strips.
 
 The text form writes parts separated by commas ("4,4,2,2"); the empty
 partition renders as "-".
@@ -172,61 +173,14 @@ def syt_count(lam: Partition) -> int:
     return count
 
 
-def _count_tableaux(
-    outer: Partition, inner: Partition, content: Partition, lattice: bool
-) -> int:
-    """Count semistandard fillings of outer/inner with the given content.
-
-    Cells are visited in reverse reading order (rows top to bottom, right to
-    left within a row) so the ballot condition on the reverse reading word
-    can be checked incrementally when ``lattice`` is set.
-    """
-    rows = len(outer)
-    inner_p = inner + (0,) * (rows - len(inner))
-    cells = [
-        (r, c) for r in range(rows) for c in range(outer[r] - 1, inner_p[r] - 1, -1)
-    ]
-    if not cells:
-        return 1 if not content else 0
-    if len(cells) != sum(content):
-        return 0
-    nvals = len(content)
-    counts = [0] * (nvals + 1)
-    grid = [[0] * outer[r] for r in range(rows)]
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = grid[r][c + 1] if c + 1 < outer[r] else None
-        above = None
-        if r > 0 and inner_p[r - 1] <= c < outer[r - 1]:
-            above = grid[r - 1][c]
-        lo = above + 1 if above else 1
-        hi = right if right is not None else nvals
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= content[v - 1]:
-                continue
-            if lattice and v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            grid[r][c] = v
-            total += place(idx + 1)
-            counts[v] -= 1
-            grid[r][c] = 0
-        return total
-
-    return place(0)
-
-
 @lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu nu}.
 
     Counts fillings of the skew shape lam/mu with content nu whose reverse
-    reading word is a ballot word.  Zero unless |lam| = |mu| + |nu| and both
-    mu and nu fit inside lam.
+    reading word is a ballot word, placing entries in that order (rows top
+    to bottom, right to left) so the ballot test runs as each is placed.
+    Zero unless |lam| = |mu| + |nu| and both mu and nu fit inside lam.
 
     >>> lr_coefficient((2, 1), (1,), (1, 1))
     1
@@ -240,7 +194,37 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if not contains(lam, mu) or not contains(lam, nu):
         return 0
-    return _count_tableaux(lam, mu, nu, lattice=True)
+    rows = len(lam)
+    inner = mu + (0,) * (rows - len(mu))
+    cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, inner[r] - 1, -1)]
+    nvals = len(nu)
+    counts = [0] * (nvals + 1)
+    grid = [[0] * p for p in lam]
+
+    def place(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        right = grid[r][c + 1] if c + 1 < lam[r] else None
+        above = None
+        if r > 0 and inner[r - 1] <= c < lam[r - 1]:
+            above = grid[r - 1][c]
+        lo = above + 1 if above else 1
+        hi = right if right is not None else nvals
+        total = 0
+        for v in range(lo, hi + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            counts[v] += 1
+            grid[r][c] = v
+            total += place(idx + 1)
+            counts[v] -= 1
+            grid[r][c] = 0
+        return total
+
+    return place(0)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@
 An expansion is a finite integer combination of basis elements indexed by
 partitions; zero coefficients are never stored and iteration follows the
 fixed partition order, so printing is deterministic.  Basis conversion goes
-through the Kostka numbers: schur_to_monomial enumerates semistandard
-tableaux, monomial_to_schur inverts the resulting unitriangular system by
-eliminating dominance-maximal terms.
+through the Kostka numbers, a row at a time by horizontal strips:
+monomial_to_schur inverts that unitriangular system by eliminating
+dominance-maximal terms.
 
 Text form: "1*s[2,2] + 1*s[3,1] - 1*s[4]" (letter 'm' for the monomial
 basis); the zero expansion renders as "0".
@@ -16,13 +16,12 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
+from itertools import product
 from operator import index
 
 from .errors import NotHomogeneous, ParseError
 from .partitions import (
     Partition,
-    _count_tableaux,
-    all_partitions,
     box_partitions,
     lr_coefficient,
     partition,
@@ -156,24 +155,39 @@ class MonomialExpansion(_Expansion):
 
 
 @lru_cache(maxsize=None)
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard tableaux of shape lam and content mu.
+def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
+    """Number of semistandard tableaux of shape lam and content mu; the
+    content is any nonnegative ints, in any order, zeros ignored.
 
     >>> kostka((2, 1), (1, 1, 1))
     2
     """
-    if sum(lam) != sum(mu):
-        return 0
-    return _count_tableaux(lam, (), mu, lattice=False)
+    lam = partition(lam)
+    content = partition(sorted(mu, reverse=True))
+    return dict(_schur_monomial_row(lam)).get(content, 0)
 
 
 @lru_cache(maxsize=None)
 def _schur_monomial_row(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    return tuple(
-        (mu, k)
-        for mu in all_partitions(sum(lam))
-        if (k := kostka(lam, mu))
-    )
+    """The nonzero K_{lam mu} as (mu, K) in sort_key order, by horizontal
+    strips (Macdonald I.5): the r > 0 cells of the largest entry form a
+    strip lam/nu, lam[i + 1] <= nu[i] <= lam[i], and each K_{nu mu'} with
+    mu' = () or mu'[-1] >= r adds to K_{lam, mu' + (r,)}."""
+    if not lam:
+        return (((), 1),)
+    size = sum(lam)
+    spans = [range(low, top + 1) for top, low in zip(lam, lam[1:] + (0,))]
+    row: dict[Partition, int] = {}
+    for nu in product(*spans):
+        r = size - sum(nu)
+        if not r:
+            continue
+        # nu[i] >= lam[i + 1] > 0 above the last row, so only nu[-1] can be 0
+        for mu, k in _schur_monomial_row(nu if nu[-1] else nu[:-1]):
+            if not mu or mu[-1] >= r:
+                key = mu + (r,)
+                row[key] = row.get(key, 0) + k
+    return tuple(sorted(row.items()))
 
 
 def schur_to_monomial(s: SchurExpansion) -> MonomialExpansion:

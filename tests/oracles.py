@@ -20,7 +20,7 @@ cell sets and the stretch-loop extraction of w from a rank set.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from rankcalc.diagrams import _cycle_type_rep, _polytabloids, _rref_insert
 from rankcalc.errors import NotBounded, NotRankSetShaped, ShapeTooLarge
@@ -218,18 +218,30 @@ def partitions_of(n, top=None):
 
 
 @lru_cache(maxsize=None)
-def kostka_by_strips(lam, mu):
-    """Semistandard tableaux of shape lam and content mu, counted by
-    removing the horizontal strip lam/nu of the largest entry, that is
-    lam[i + 1] <= nu[i] <= lam[i] for every row."""
-    if not mu:
-        return int(not lam)
-    rows = [range(nxt, top + 1) for top, nxt in zip(lam, lam[1:] + (0,))]
-    return sum(
-        kostka_by_strips(tuple(p for p in nu if p), mu[:-1])
-        for nu in product(*rows)
-        if sum(lam) - sum(nu) == mu[-1]
-    )
+def kostka_by_tableaux(lam, mu):
+    """Semistandard tableaux of shape lam and content mu, built one entry at
+    a time in the order 1, ..., 1, 2, ..., 2, ...: each entry fills a cell
+    that keeps the filled cells a partition inside lam, and the entries of
+    one value go left to right, each in a column right of the one before,
+    since equal entries never share a column.  How many ways there are to
+    finish depends only on the filled shape, the step and that column, so
+    the count is memoized on them."""
+    if sum(lam) != sum(mu):
+        return 0
+    values = [v for v, m in enumerate(mu) for _ in range(m)]
+
+    @lru_cache(maxsize=None)
+    def finish(shape, step, col):
+        if step == len(values):
+            return 1
+        same = step and values[step] == values[step - 1]
+        total = 0
+        for r, c in enumerate(shape):
+            if c < lam[r] and (not r or shape[r - 1] > c) and (not same or c > col):
+                total += finish(shape[:r] + (c + 1,) + shape[r + 1:], step + 1, c)
+        return total
+
+    return finish((0,) * len(lam), 0, -1)
 
 
 def stanley(w):
@@ -238,14 +250,14 @@ def stanley(w):
     factorizations (affine_stanley of the embedded window, itself checked
     against factorization_counts), and the unitriangular Kostka system is
     inverted by stripping the lex-greatest term, with Kostka numbers from
-    kostka_by_strips instead of the library's tableau enumeration."""
+    kostka_by_tableaux instead of the library's horizontal-strip rows."""
     work = affine_stanley(AffinePermutation(w)).terms()
     out = {}
     while work:
         lam = max(work)
         out[lam] = c = work.pop(lam)
         for mu in partitions_of(sum(lam)):
-            if mu != lam and (k := kostka_by_strips(lam, mu)):
+            if mu != lam and (k := kostka_by_tableaux(lam, mu)):
                 work[mu] = work.get(mu, 0) - c * k
                 if not work[mu]:
                     del work[mu]

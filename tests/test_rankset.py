@@ -251,6 +251,29 @@ def test_w_of_rank_set_singletons_give_point():
         assert cls == oracle
 
 
+def theorem_mismatches(n):
+    """Check the paper's theorem on every rank set m in every Gr(k, n),
+    k >= 1: the class of w_M equals the class read off the affine Stanley
+    function of f_M.  Returns the number of rank sets checked and the list
+    of those where the two differ."""
+    cases, bad = 0, []
+    for k in range(1, n + 1):
+        for m in all_rank_sets(k, n):
+            cases += 1
+            via_w = phi(stanley(w_of_rank_set(m)), k, n)
+            via_f = phi(monomial_to_schur(affine_stanley(affine_of_rank_set(m))), k, n)
+            if via_w != via_f:
+                bad.append(m)
+    return cases, bad
+
+
+def test_paper_theorem_on_every_rank_set_through_n7():
+    # the verify suite stops at n = 5; CI runs theorem_mismatches(8) as well
+    results = [theorem_mismatches(n) for n in range(1, 8)]
+    assert sum(cases for cases, _ in results) == 5287
+    assert [m for _, bad in results for m in bad] == []
+
+
 def test_rank_set_of_permutation():
     m = rank_set_of_permutation((2, 4, 1, 5, 3))
     assert m.intervals == ((2, 6), (4, 7), (1, 8), (5, 9), (3, 10))

@@ -2,10 +2,11 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from rankcalc.errors import NotHomogeneous, ParseError
-from rankcalc.partitions import all_partitions, lr_coefficient
+from rankcalc.partitions import all_partitions, lr_coefficient, sort_key
 from rankcalc.symfunc import (
     MonomialExpansion,
     SchurExpansion,
+    _schur_monomial_row,
     kostka,
     monomial_to_schur,
     parse_expansion,
@@ -13,7 +14,7 @@ from rankcalc.symfunc import (
     schur_to_monomial,
 )
 
-from oracles import kostka_by_strips
+from oracles import kostka_by_tableaux
 
 
 def s(*parts):
@@ -77,11 +78,39 @@ def test_kostka_values():
     assert kostka((1, 1), (2,)) == 0
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((3, 1), (2, 1, 1)) == 2
-    # tableau enumeration against the horizontal-strip recursion
-    for n in range(8):
+    # the content's order and zeros do not matter
+    assert kostka((), ()) == kostka((), (0,)) == 1
+    assert kostka((2, 1), (2, 0, 1)) == kostka((2, 1), (1, 2)) == 1
+    assert kostka((2, 1), (0, 1, 0, 1, 1)) == 2
+    assert kostka((2,), (1, 2)) == 0
+    # the shape is a partition, the content nonnegative ints
+    for lam, mu in (((1, 2), (1, 1, 1)), ((1,), (2, -1)), ((2, -1), (1,))):
+        with pytest.raises(ValueError):
+            kostka(lam, mu)
+    for lam, mu in (((1.5, 0.5), (2,)), ((2,), (1.5, 0.5))):
+        with pytest.raises(TypeError):
+            kostka(lam, mu)
+    # horizontal-strip rows against tableaux built entry by entry
+    for n in range(9):
         for lam in all_partitions(n):
             for mu in all_partitions(n):
-                assert kostka(lam, mu) == kostka_by_strips(lam, mu), (lam, mu)
+                assert kostka(lam, mu) == kostka_by_tableaux(lam, mu), (lam, mu)
+
+
+def test_kostka_rows_unitriangular_in_dominance():
+    # monomial_to_schur eliminates the lex-greatest term, so each row must
+    # end at lam with 1 and hold exactly the mu that lam dominates
+    def dominates(lam, mu):
+        return all(sum(lam[:i]) >= sum(mu[:i]) for i in range(1, len(mu) + 1))
+
+    for n in range(11):
+        for lam in all_partitions(n):
+            row = _schur_monomial_row(lam)
+            support = [mu for mu, _ in row]
+            assert support == sorted(support, key=sort_key), lam
+            assert support[-1] == lam and row[-1][1] == 1, lam
+            assert support == [mu for mu in all_partitions(n) if dominates(lam, mu)], lam
+            assert all(k > 0 for _, k in row), lam
 
 
 def test_schur_to_monomial_examples():
