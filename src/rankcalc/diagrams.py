@@ -394,11 +394,19 @@ def _polytabloids(cells: frozenset[Cell]) -> Iterable[Row]:
     together, signed by parity, they make one polytabloid: the signed sum
     of the tabloids they produce.
     """
+    ordered = sorted(cells)
+    rows, cols = [r for r, _ in ordered], [c for _, c in ordered]
     vectors: dict[tuple[int, ...], Row] = {}
-    for filling in iter_permutations(sorted(cells)):
-        vector = vectors.setdefault(tuple(c for _, c in filling), {})
-        vector[tuple(r for r, _ in filling)] = (-1) ** inversions(filling)
+    for perm, sign in _signed_permutations(len(cells)):
+        vector = vectors.setdefault(tuple(cols[x] for x in perm), {})
+        vector[tuple(rows[x] for x in perm)] = sign
     return vectors.values()
+
+
+@lru_cache(maxsize=8)
+def _signed_permutations(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each permutation of range(m), in lexicographic order, with its sign."""
+    return tuple((p, (-1) ** inversions(p)) for p in iter_permutations(range(m)))
 
 
 def specht_bruteforce(d: Diagram) -> SchurExpansion:

@@ -7,20 +7,21 @@ combinatorially (the actual degree of that diagram variety, and its class
 as a complete-intersection class minus one Schubert class) are pinned as
 module constants below; everything checked against them is recomputed.
 
-run_all aggregates the cross-module invariant suites at a requested scale;
-each suite yields a violation count per case over an enumerated or seeded
-deterministic family of cases, and run_all counts and reports them.  Checks
+run_all aggregates the cross-module invariant suites at a scale up to
+MAX_SCALE; each suite yields a violation count per case over an enumerated
+or seeded deterministic family, and run_all counts and reports them.  Checks
 that share a family and its costly intermediates (a rank set's window, the
-class of w_M) share one suite: its entry names a tuple of reports, and it
-yields one count per report for each case.  The suites are table data: each
-entry of _SUITES holds its report names, its suite and its scale cap (None
-for uncapped), and each suite's tally is memoized per scale it uses, so a
-capped suite is walked once per process, not once per larger scale.
+class of w_M) share one suite, which yields one count per report per case.
+Each entry of _SUITES holds its report names, its suite and its scale cap:
+an uncapped suite (cap None) walks one slice n, the cases new at scale n,
+and a capped suite walks its whole family at min(max_n, cap).  Each tally
+is memoized per slice or scale, so no case is walked twice in one process.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations
@@ -35,7 +36,7 @@ from .diagrams import (
     specht_dim,
     specht_schur,
 )
-from .errors import UnsupportedDiagram
+from .errors import TooLarge, UnsupportedDiagram
 from .grassmann import (
     SchubertClass,
     class_degree,
@@ -200,42 +201,39 @@ def _permutations(top: int):
         yield from iter_permutations(range(1, n + 1))
 
 
-def _rank_sets(top: int, min_k: int = 0):
-    """(k, n, m) for every rank set m with 1 <= n <= top, min_k <= k <= n."""
-    for n in range(1, top + 1):
+def _rank_sets(low: int, top: int, min_k: int = 0):
+    """(k, n, m) for every rank set m with max(low, 1) <= n <= top, min_k <= k <= n."""
+    for n in range(max(low, 1), top + 1):
         for k in range(min_k, n + 1):
             for m in all_rank_sets(k, n):
                 yield k, n, m
 
 
-def _suite_syt(max_n: int):
-    for n in range(max_n + 1):
-        for lam in all_partitions(n):
-            yield syt_count(lam) != kostka(lam, (1,) * n)
+def _suite_syt(n: int):
+    for lam in all_partitions(n):
+        yield syt_count(lam) != kostka(lam, (1,) * n)
 
 
-def _suite_lr_symmetry(max_n: int):
-    for total in range(max_n + 1):
-        for a in range(total + 1):
-            for mu in all_partitions(a):
-                for nu in all_partitions(total - a):
-                    for lam in all_partitions(total):
-                        yield lr_coefficient(lam, mu, nu) != lr_coefficient(lam, nu, mu)
+def _suite_lr_symmetry(total: int):
+    for a in range(total + 1):
+        for mu in all_partitions(a):
+            for nu in all_partitions(total - a):
+                for lam in all_partitions(total):
+                    yield lr_coefficient(lam, mu, nu) != lr_coefficient(lam, nu, mu)
 
 
-def _suite_complement_involution(max_n: int):
-    """One complement per box partition; a complement that is not itself a
-    box partition finds no entry and counts as a violation."""
-    for rows in range(max_n + 1):
-        for cols in range(max_n + 1):
-            ctx = RectangleContext(rows, cols)
-            comp = {
-                lam: complement(lam, ctx)
-                for size in range(rows * cols + 1)
-                for lam in box_partitions(size, rows, cols)
-            }
-            for lam, image in comp.items():
-                yield comp.get(image) != lam
+def _suite_complement_involution(n: int):
+    """One complement per box partition of each box with max(rows, cols) = n;
+    a complement that is not itself a box partition counts as a violation."""
+    for rows, cols in [(n, c) for c in range(n + 1)] + [(r, n) for r in range(n)]:
+        ctx = RectangleContext(rows, cols)
+        comp = {
+            lam: complement(lam, ctx)
+            for size in range(rows * cols + 1)
+            for lam in box_partitions(size, rows, cols)
+        }
+        for lam, image in comp.items():
+            yield comp.get(image) != lam
 
 
 def _suite_orthogonality(max_n: int):
@@ -250,19 +248,18 @@ def _suite_orthogonality(max_n: int):
                 yield total != (centralizer_order(mu) if mu == nu else 0)
 
 
-def _suite_kostka_round_trip(max_n: int):
-    rng = random.Random(20240)
-    for n in range(max_n + 1):
-        for lam in all_partitions(n):
-            s = SchurExpansion.basis(lam)
-            yield monomial_to_schur(schur_to_monomial(s)) != s
-        parts = all_partitions(n)
-        if parts:
-            for _ in range(3):
-                s = SchurExpansion(
-                    {lam: rng.randint(-3, 3) for lam in rng.sample(parts, min(3, len(parts)))}
-                )
-                yield monomial_to_schur(schur_to_monomial(s)) != s
+def _suite_kostka_round_trip(n: int):
+    """Degree n; the random expansions are seeded by n, not earlier slices."""
+    rng = random.Random(20240 + 1000 * n)
+    parts = all_partitions(n)
+    for lam in parts:
+        s = SchurExpansion.basis(lam)
+        yield monomial_to_schur(schur_to_monomial(s)) != s
+    for _ in range(3):
+        s = SchurExpansion(
+            {lam: rng.randint(-3, 3) for lam in rng.sample(parts, min(3, len(parts)))}
+        )
+        yield monomial_to_schur(schur_to_monomial(s)) != s
 
 
 def _suite_product_laws(max_n: int):
@@ -338,16 +335,16 @@ def _suite_embedded_length(max_n: int):
         yield length(embed(w)) != inversions(w)
 
 
-def _suite_rank_round_trip_codim(max_n: int):
-    """Per rank set: the round trip through its window, and codimension
-    against the window's length."""
-    for _, _, m in _rank_sets(max_n):
+def _suite_rank_round_trip_codim(n: int):
+    """Per rank set in [1, n]: the round trip through its window, and
+    codimension against the window's length."""
+    for _, _, m in _rank_sets(n, n):
         f = affine_of_rank_set(m)
         yield rank_set_of_affine(f) != m, codimension(m) != length(f)
 
 
 def _suite_interval_rank(max_n: int):
-    for _, n, m in _rank_sets(max_n):
+    for _, n, m in _rank_sets(1, max_n):
         f = affine_of_rank_set(m)
         for r in range(1, n + 1):
             for s in range(r, n + 1):
@@ -359,7 +356,7 @@ def _suite_interval_rank(max_n: int):
 def _suite_class_oracle_stretch(max_n: int):
     """Per rank set: the class of w_M against the class from its affine
     Stanley function, and against the class of w of its stretch."""
-    for k, n, m in _rank_sets(max_n, min_k=1):
+    for k, n, m in _rank_sets(1, max_n, min_k=1):
         from_w = phi(stanley(w_of_rank_set(m)), k, n)
         from_f = phi(
             monomial_to_schur(affine_stanley(affine_of_rank_set(m))), k, n
@@ -520,18 +517,17 @@ _SUITES = (
 )
 
 
+MAX_SCALE = 10  # each scale costs about 5x the last: 19 s at 10, 112 s at 11
+
+
 @lru_cache(maxsize=256)
 def _tally(suite, width: int, scale: int) -> tuple[int, tuple[int, ...]]:
-    """Walk suite at scale: its case count and the violations of each of its
-    width reports.  Memoized, since a suite's answer depends only on these;
-    keyed on the function object, so a replaced suite is walked afresh."""
-    counts = suite(scale) if width > 1 else zip(suite(scale))
-    cases, bad = 0, [0] * width
-    for wrong in counts:
-        cases += 1
-        for i, w in enumerate(wrong):
-            bad[i] += w
-    return cases, tuple(bad)
+    """Walk suite at scale, streaming its verdicts into a Counter: its case
+    count and the violations of each of its width reports.  Memoized, since
+    a suite's answer depends only on these; keyed on the function object."""
+    counts = Counter(suite(scale) if width > 1 else zip(suite(scale)))
+    bad = [sum(w[i] * times for w, times in counts.items()) for i in range(width)]
+    return counts.total(), tuple(bad)
 
 
 def run_all(max_n: int) -> list[CheckReport]:
@@ -540,20 +536,25 @@ def run_all(max_n: int) -> list[CheckReport]:
     An entry naming one report yields one violation count per case; an
     entry naming a tuple of reports walks its cases once and yields a tuple
     of counts per case, one for each name, summed apart into one report
-    each.  A suite whose cost grows with symmetric-function degree carries
-    a scale cap in its _SUITES entry and is walked at min(max_n, cap).  Each
-    suite's tally is memoized per scale it uses, so a capped suite is walked
-    once per process however many larger scales follow; clear_caches()
-    empties the memo.  max_n = 0 runs nothing.
+    each.  An uncapped suite's report sums its slices 0..max_n.  A suite
+    whose cost grows with symmetric-function degree carries a scale cap in
+    its _SUITES entry and walks its whole family at min(max_n, cap).  Each
+    tally is memoized, so a case is walked once per process however the
+    scales rise or fall; clear_caches() empties the memo.  max_n = 0 runs
+    nothing; a max_n above MAX_SCALE raises TooLarge before any walk.
     """
+    if max_n > MAX_SCALE:
+        raise TooLarge(f"scale {max_n}; the verify suites stop at {MAX_SCALE}")
     if max_n <= 0:
         return []
     reports = []
     for names, suite, cap in _SUITES:
         if isinstance(names, str):
             names = (names,)
-        scale = max_n if cap is None else min(max_n, cap)
-        cases, bad = _tally(suite, len(names), scale)
+        scales = range(max_n + 1) if cap is None else (min(max_n, cap),)
+        tallies = [_tally(suite, len(names), s) for s in scales]
+        cases = sum(c for c, _ in tallies)
+        bad = map(sum, zip(*(b for _, b in tallies)))
         reports.extend(
             CheckReport(
                 name=name,

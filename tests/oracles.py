@@ -15,23 +15,45 @@ set-difference, two-pass and ``partition()`` routes, kept as differential
 references for the single-pass kernels that replaced them; the complement
 keeps its use of ``partition()`` so that it raises what the library raised.
 So are the earlier recursive box enumerator, the degeneration predicate on
-cell sets and the stretch-loop extraction of w from a rank set.
+cell sets and the stretch-loop extraction of w from a rank set.  The
+polytabloids signed by counting each filling's inversions, and the five
+cumulative verify suites, are the library's routes before its sign table
+and its per-slice suites; the cumulative Kostka round trip keeps one seed
+for all degrees.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from rankcalc.diagrams import _cycle_type_rep, _polytabloids, _rref_insert
 from rankcalc.errors import NotBounded, NotRankSetShaped, ShapeTooLarge
 from rankcalc.partitions import (
+    RectangleContext,
     all_partitions,
+    box_partitions,
     centralizer_order,
+    complement,
     fits,
+    lr_coefficient,
     mn_character,
     partition,
+    syt_count,
 )
-from rankcalc.perms import AffinePermutation, affine_stanley
+from rankcalc.perms import AffinePermutation, affine_stanley, inversions, length
+from rankcalc.rankset import (
+    affine_of_rank_set,
+    all_rank_sets,
+    codimension,
+    rank_set_of_affine,
+)
+from rankcalc.symfunc import (
+    SchurExpansion,
+    kostka,
+    monomial_to_schur,
+    schur_to_monomial,
+)
 
 
 def transpose_cells(lam):
@@ -390,3 +412,74 @@ def placements_by_recursion(lefts, rights, placed=()):
             return
         rest = lefts[:j] + lefts[j + 1:]
         yield from placements_by_recursion(rest, rights, placed + ((a, b),))
+
+
+def polytabloids_by_inversions(cells):
+    """The polytabloids of a cell set, each filling of the sorted cells
+    signed by counting its inversions."""
+    vectors = {}
+    for filling in permutations(sorted(cells)):
+        vector = vectors.setdefault(tuple(c for _, c in filling), {})
+        vector[tuple(r for r, _ in filling)] = (-1) ** inversions(filling)
+    return vectors.values()
+
+
+def suite_syt_cumulative(max_n):
+    for n in range(max_n + 1):
+        for lam in all_partitions(n):
+            yield syt_count(lam) != kostka(lam, (1,) * n)
+
+
+def suite_lr_symmetry_cumulative(max_n):
+    for total in range(max_n + 1):
+        for a in range(total + 1):
+            for mu in all_partitions(a):
+                for nu in all_partitions(total - a):
+                    for lam in all_partitions(total):
+                        yield lr_coefficient(lam, mu, nu) != lr_coefficient(lam, nu, mu)
+
+
+def suite_complement_involution_cumulative(max_n):
+    for rows in range(max_n + 1):
+        for cols in range(max_n + 1):
+            ctx = RectangleContext(rows, cols)
+            comp = {
+                lam: complement(lam, ctx)
+                for size in range(rows * cols + 1)
+                for lam in box_partitions(size, rows, cols)
+            }
+            for lam, image in comp.items():
+                yield comp.get(image) != lam
+
+
+def suite_kostka_round_trip_cumulative(max_n):
+    rng = random.Random(20240)
+    for n in range(max_n + 1):
+        for lam in all_partitions(n):
+            s = SchurExpansion.basis(lam)
+            yield monomial_to_schur(schur_to_monomial(s)) != s
+        parts = all_partitions(n)
+        if parts:
+            for _ in range(3):
+                s = SchurExpansion(
+                    {lam: rng.randint(-3, 3) for lam in rng.sample(parts, min(3, len(parts)))}
+                )
+                yield monomial_to_schur(schur_to_monomial(s)) != s
+
+
+def suite_rank_round_trip_codim_cumulative(max_n):
+    for n in range(1, max_n + 1):
+        for k in range(n + 1):
+            for m in all_rank_sets(k, n):
+                f = affine_of_rank_set(m)
+                yield rank_set_of_affine(f) != m, codimension(m) != length(f)
+
+
+# The cumulative suites by the first report of their _SUITES entry.
+CUMULATIVE_SUITES = {
+    "partitions/syt-hook-vs-enumeration": suite_syt_cumulative,
+    "partitions/lr-symmetry": suite_lr_symmetry_cumulative,
+    "partitions/complement-involution": suite_complement_involution_cumulative,
+    "symfunc/kostka-round-trip": suite_kostka_round_trip_cumulative,
+    "rankset/round-trip": suite_rank_round_trip_codim_cumulative,
+}

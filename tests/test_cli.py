@@ -7,6 +7,7 @@ from rankcalc import cli
 from rankcalc.cli import main
 from rankcalc.grassmann import parse_class
 from rankcalc.symfunc import MonomialExpansion, SchurExpansion, parse_expansion
+from rankcalc.verify import MAX_SCALE
 
 
 def run(capsys, *argv):
@@ -189,6 +190,12 @@ def test_verify_suite(capsys):
     for scale in ("0", "-3"):
         code, out, _ = run(capsys, "verify", "suite", "--max-n", scale)
         assert (code, out) == (2, "")  # a scale below 1 would check nothing
+    # past the bound, the suites refuse before walking anything
+    for scale in (MAX_SCALE + 1, 20):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "verify", "suite", "--max-n", str(scale), *extra)
+            assert (code, out) == (3, "")
+            assert err == f"error: scale {scale}; the verify suites stop at {MAX_SCALE}\n"
     code, out, _ = run(capsys, "verify", "suite", "--max-n", "2", "--json")
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]

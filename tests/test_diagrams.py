@@ -345,6 +345,20 @@ def test_specht_bruteforce_matches_fraction_pairing():
         assert specht_bruteforce(d).terms() == expected, sorted(d.cells)
 
 
+def test_polytabloids_match_signs_by_inversion_count():
+    # the sign table against counting each filling's inversions, order of
+    # vectors and of their entries included: every diagram of the 3x3 box
+    # with at most 5 cells and a 6-cell one
+    sweep = [d.cells for d in box_diagrams(3, 3, 5)] + [
+        frozenset({(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)})
+    ]
+    for cells in sweep:
+        got = [list(v.items()) for v in diagrams._polytabloids(cells)]
+        want = [list(v.items()) for v in oracles.polytabloids_by_inversions(cells)]
+        assert got == want, sorted(cells)
+    assert diagrams._signed_permutations.cache_info().currsize == 7
+
+
 def test_specht_bruteforce_memo():
     memo = diagrams._polytabloid_expansion
     assert memo.cache_info().maxsize is not None

@@ -5,13 +5,15 @@ from importlib import import_module
 import pytest
 
 import rankcalc
+from oracles import CUMULATIVE_SUITES
 from rankcalc import verify
+from rankcalc.errors import TooLarge
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
 from rankcalc.verify import (
+    MAX_SCALE,
     CheckReport,
-    _suite_complement_involution,
-    _suite_syt,
+    _tally,
     check_class_bound,
     known_diagonal_class,
     replay_counterexample,
@@ -109,19 +111,6 @@ def test_run_all_at_stated_scales():
         assert report.passed, (report.name, report.actual)
 
 
-def test_complement_involution_at_scale_7():
-    # case count recorded at scale 7 before the suite enumerated inside the box
-    violations = list(_suite_complement_involution(7))
-    assert (len(violations), sum(violations)) == (12869, 0)
-
-
-def test_syt_suite_at_scales_7_and_8():
-    # case counts recorded before kostka became the suite's second count
-    for scale, cases in ((7, 45), (8, 67)):
-        violations = list(_suite_syt(scale))
-        assert (len(violations), sum(violations)) == (cases, 0), scale
-
-
 def _run_entry(name, max_n):
     """run_all(max_n) restricted to the _SUITES entry reporting name: each
     report's actual text, by report name, through the capped, memoized
@@ -132,6 +121,41 @@ def _run_entry(name, max_n):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_SUITES", (entry,))
         return {r.name: r.actual for r in run_all(max_n)}
+
+
+def test_complement_involution_at_scale_7():
+    # case count recorded at scale 7 before the suite enumerated inside the box
+    assert _run_entry("partitions/complement-involution", 7) == {
+        "partitions/complement-involution": "0 violations in 12869 cases"
+    }
+
+
+def test_syt_suite_at_scales_7_and_8():
+    # case counts recorded before kostka became the suite's second count
+    for scale, cases in ((7, 45), (8, 67)):
+        assert _run_entry("partitions/syt-hook-vs-enumeration", scale) == {
+            "partitions/syt-hook-vs-enumeration": f"0 violations in {cases} cases"
+        }, scale
+
+
+def test_sliced_suites_sum_to_the_cumulative_walks():
+    # each uncapped suite walks one slice; its slices 0..N add up to the
+    # case and violation counts of the cumulative walk it replaced
+    sliced = [e for e in verify._SUITES if e[2] is None]
+    assert len(sliced) == len(CUMULATIVE_SUITES)
+    for names, suite, _ in sliced:
+        name = names if isinstance(names, str) else names[0]
+        width = 1 if isinstance(names, str) else len(names)
+        oracle = CUMULATIVE_SUITES[name]
+        for max_n in range(8):
+            tallies = [_tally(suite, width, s) for s in range(max_n + 1)]
+            got = (
+                sum(c for c, _ in tallies),
+                tuple(map(sum, zip(*(b for _, b in tallies)))),
+            )
+            walked = list(oracle(max_n) if width > 1 else zip(oracle(max_n)))
+            want = (len(walked), tuple(map(sum, zip(*walked))) or (0,) * width)
+            assert got == want, (name, max_n)
 
 
 def test_rank_set_suites_at_scale_7():
@@ -149,14 +173,16 @@ def test_rank_set_suites_at_scale_7():
 
 
 def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
-    def shared(max_n):
-        yield from [(0, 1), (2, 0), (False, True)][:max_n]
+    # uncapped stubs yield the cases of one slice: slice 0 for single, and
+    # slice n the n-th case for shared
+    def shared(n):
+        yield from [(0, 1), (2, 0), (False, True)][n - 1 : n] if n else []
 
     monkeypatch.setattr(
         verify,
         "_SUITES",
         (
-            ("single", lambda max_n: iter([1, 0]), None),
+            ("single", lambda n: iter([1, 0] if n == 0 else []), None),
             (("left", "right"), shared, None),
         ),
     )
@@ -168,6 +194,18 @@ def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
     assert [r.actual for r in run_all(1)][1:] == [
         "0 violations in 1 cases",
         "1 violations in 1 cases",
+    ]
+
+
+def test_run_all_counts_each_repeat_of_a_verdict(monkeypatch):
+    # the tally merges equal verdicts; each still counts once per case
+    def repeats(n):
+        yield from [(1, 0), (1, 0), (0, 2), (0, 0), (True, True)] if n == 1 else []
+
+    monkeypatch.setattr(verify, "_SUITES", ((("left", "right"), repeats, None),))
+    assert [r.actual for r in run_all(2)] == [
+        "3 violations in 5 cases",
+        "3 violations in 5 cases",
     ]
 
 
@@ -205,11 +243,42 @@ def test_run_all_walks_a_capped_suite_once_per_scale(monkeypatch):
     assert walks == [2, 2]
 
 
+def test_run_all_walks_each_slice_once(monkeypatch):
+    walks = []
+
+    def stub(n):
+        walks.append(n)
+        return iter([False] * n)
+
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, None),))
+    for max_n, cases in ((2, 3), (3, 6), (5, 15)):
+        assert [r.actual for r in run_all(max_n)] == [f"0 violations in {cases} cases"]
+    assert walks == [0, 1, 2, 3, 4, 5]
+    assert [r.actual for r in run_all(4)] == ["0 violations in 10 cases"]
+    assert walks == [0, 1, 2, 3, 4, 5]
+    rankcalc.clear_caches()
+    run_all(3)
+    assert walks == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
+
+
 def test_memoized_run_all_matches_a_fresh_one():
-    in_sequence = [run_all(max_n) for max_n in (4, 5, 6)]
-    for max_n, reports in zip((4, 5, 6), in_sequence):
+    # rising scales add slices to the memo; falling ones sum a prefix of it
+    for order in ((4, 5, 6), (6, 5, 4)):
         rankcalc.clear_caches()
-        assert run_all(max_n) == reports, max_n
+        in_sequence = [run_all(max_n) for max_n in order]
+        for max_n, reports in zip(order, in_sequence):
+            rankcalc.clear_caches()
+            assert run_all(max_n) == reports, (order, max_n)
+
+
+def test_run_all_rejects_a_scale_past_its_bound(monkeypatch):
+    walks = []
+    monkeypatch.setattr(
+        verify, "_SUITES", (("stub", lambda n: walks.append(n) or iter(()), None),)
+    )
+    with pytest.raises(TooLarge, match=f"stop at {MAX_SCALE}"):
+        run_all(MAX_SCALE + 1)
+    assert walks == []
 
 
 def _memo_tables():
