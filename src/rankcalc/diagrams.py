@@ -128,9 +128,7 @@ def staircase_pattern(w: Permutation) -> Diagram:
 
 def _transfer(rows: list[int], i: int, j: int) -> None:
     """Move, in place, bit i to bit j in every row mask whose bit j is clear:
-    the column transfer i -> j on a diagram stored one int per row."""
-    if i == j:
-        raise ValueError("source and target columns must differ")
+    the column transfer i -> j, i != j, on a diagram stored one int per row."""
     bit_i, both = 1 << i, 1 << i | 1 << j
     for r, mask in enumerate(rows):
         if mask & both == bit_i:
@@ -144,16 +142,9 @@ def james_peel_move(d: Diagram, i: int, j: int) -> Diagram:
     >>> sorted(james_peel_move(diagram([(1, 1), (3, 1), (2, 2), (3, 2)]), 1, 2).cells)
     [(1, 2), (2, 2), (3, 1), (3, 2)]
     """
-    # a row as a mask over the only columns the transfer reads, i and j
-    bit = {i: 0, j: 1}  # one key when i == j, which _transfer rejects
-    rows: dict[int, int] = {}
-    for r, c in d.cells:
-        if c in bit:
-            rows[r] = rows.get(r, 0) | 1 << bit[c]
-    masks = list(rows.values())
-    _transfer(masks, bit[i], bit[j])
-    # each row whose mask changed moved its cell from column i to column j
-    moved = [r for r, old, new in zip(rows, rows.values(), masks) if old != new]
+    if i == j:
+        raise ValueError("source and target columns must differ")
+    moved = [r for r, c in d.cells if c == i and (r, j) not in d.cells]
     if not moved:
         return d
     # the moved cells differ from cells of d only in their column j, so the

@@ -13,10 +13,9 @@ permutation visible are all here.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, compress
-from operator import index, itemgetter, le
+from operator import index, itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -224,36 +223,25 @@ def rank_set_of_permutation(w: Permutation) -> RankSet:
 def all_rank_sets(k: int, n: int) -> Iterator[RankSet]:
     """All rank sets with exactly k intervals in [1, n], deterministically.
 
-    Right-endpoint sets run over sorted k-subsets and, for each, so do the
-    left-endpoint sets; the orderings of a left set are generated in
-    lexicographic order, placing at each right end b only a left a <= b.
+    Right-endpoint sets run over sorted k-subsets.  For each, a stack walk
+    places at each right end b in turn any unused left end a <= b, pushing
+    the greatest a first, so the left-end tuples come in lexicographic
+    order; since the i-th right end is at least i, no branch dies.
     """
     n = RankSet((), n).ambient_n  # RankSet's own check on n, made once
     for rights in combinations(range(1, n + 1), k):
-        for lefts in combinations(range(1, n + 1), k):
-            for intervals in _placements(lefts, rights):
-                yield RankSet._trusted(intervals, n)
-
-
-def _placements(lefts: tuple, rights: tuple) -> Iterator[tuple[Interval, ...]]:
-    """The orderings of the increasing tuple lefts whose i-th entry is at
-    most rights[i], in lexicographic order, each yielded as its tuple of
-    intervals (a_i, rights[i]).  Iterative: a stack of (intervals placed,
-    lefts still free), each node's children pushed greatest left first so
-    that the least pops first."""
-    # some ordering fits exactly when the i-th least left is at most rights[i]
-    if not all(map(le, lefts, rights)):
-        return
-    k = len(rights)
-    stack = [((), lefts)]
-    while stack:
-        placed, rest = stack.pop()
-        if len(placed) == k:
-            yield placed
-            continue
-        b = rights[len(placed)]
-        for j in range(bisect_right(rest, b) - 1, -1, -1):
-            stack.append((placed + ((rest[j], b),), rest[:j] + rest[j + 1:]))
+        stack = [((), 0)]  # (intervals placed, bit a set for each left end a used)
+        while stack:
+            placed, used = stack.pop()
+            if len(placed) == k:
+                yield RankSet._trusted(placed, n)
+                continue
+            b = rights[len(placed)]
+            stack.extend(
+                (placed + ((a, b),), used | 1 << a)
+                for a in range(b, 0, -1)
+                if not used >> a & 1
+            )
 
 
 def rank_set_text(m: RankSet) -> str:

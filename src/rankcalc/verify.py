@@ -12,10 +12,10 @@ MAX_SCALE; each suite yields a violation count per case over an enumerated
 or seeded deterministic family, and run_all counts and reports them.  Checks
 that share a family and its costly intermediates (a rank set's window, the
 class of w_M) share one suite, which yields one count per report per case.
-Each entry of _SUITES holds its report names, its suite and its scale cap:
-an uncapped suite (cap None) walks one slice n, the cases new at scale n,
-and a capped suite walks its whole family at min(max_n, cap).  Each tally
-is memoized per slice or scale, so no case is walked twice in one process.
+Each entry of _SUITES holds its report names, its suite and its scale cap.
+Every suite walks one slice n, the cases new at scale n, and run_all sums
+slices 0..min(max_n, cap).  Each slice's tally is memoized, so no case is
+walked twice in one process.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations, product
 
 from .diagrams import (
     diagram,
@@ -189,24 +189,23 @@ def check_class_bound(
 
 
 # ---------------------------------------------------------------------------
-# Invariant suites.  Each suite yields one violation count per case (a bool,
-# or an int where a case checks several things), or a tuple of such counts
-# when its entry in _SUITES names several reports; run_all counts the cases,
-# sums the violations of each report and reports.
+# Invariant suites.  Each takes a slice n and yields one violation count per
+# case new at scale n (a bool, or an int where a case checks several things),
+# or a tuple of such counts when its entry in _SUITES names several reports;
+# run_all counts the cases, sums each report's violations and reports.
 
 
-def _permutations(top: int):
-    """Every permutation of [1, n] for 1 <= n <= top."""
-    for n in range(1, top + 1):
-        yield from iter_permutations(range(1, n + 1))
+def _permutations(n: int):
+    """Every permutation of [1, n]; none for n = 0."""
+    return iter_permutations(range(1, n + 1)) if n else ()
 
 
-def _rank_sets(low: int, top: int, min_k: int = 0):
-    """(k, n, m) for every rank set m with max(low, 1) <= n <= top, min_k <= k <= n."""
-    for n in range(max(low, 1), top + 1):
+def _rank_sets(n: int, min_k: int = 0):
+    """(k, m) for every rank set m in [1, n] with min_k <= k; none for n = 0."""
+    if n:
         for k in range(min_k, n + 1):
             for m in all_rank_sets(k, n):
-                yield k, n, m
+                yield k, m
 
 
 def _suite_syt(n: int):
@@ -236,16 +235,15 @@ def _suite_complement_involution(n: int):
             yield comp.get(image) != lam
 
 
-def _suite_orthogonality(max_n: int):
-    for m in range(1, max_n + 1):
-        parts = all_partitions(m)
-        for mu in parts:
-            for nu in parts:
-                total = sum(
-                    mn_character(lam, mu) * mn_character(lam, nu)
-                    for lam in parts
-                )
-                yield total != (centralizer_order(mu) if mu == nu else 0)
+def _suite_orthogonality(n: int):
+    parts = all_partitions(n) if n else ()
+    for mu in parts:
+        for nu in parts:
+            total = sum(
+                mn_character(lam, mu) * mn_character(lam, nu)
+                for lam in parts
+            )
+            yield total != (centralizer_order(mu) if mu == nu else 0)
 
 
 def _suite_kostka_round_trip(n: int):
@@ -262,27 +260,26 @@ def _suite_kostka_round_trip(n: int):
         yield monomial_to_schur(schur_to_monomial(s)) != s
 
 
-def _suite_product_laws(max_n: int):
+def _suite_product_laws(n: int):
+    """Slice 0: associativity on 27 small triples.  Slice n: commutativity
+    and degree of s_a s_b over |a|, |b| <= n with n among them."""
+    if not n:
+        small = [SchurExpansion.basis(lam) for lam in ((2,), (1, 1), (1,))]
+        for a, b, c in product(small, repeat=3):
+            yield schur_product(schur_product(a, b), c) != schur_product(
+                a, schur_product(b, c)
+            )
     singles = [
         SchurExpansion.basis(lam)
-        for size in range(1, max_n + 1)
+        for size in range(1, n + 1)
         for lam in all_partitions(size)
     ]
-    for a in singles:
-        for b in singles:
+    for a, b in product(singles, repeat=2):
+        if n in (a.degree(), b.degree()):
             left = schur_product(a, b)
             yield (left != schur_product(b, a)) + sum(
                 sum(lam) != a.degree() + b.degree() for lam in left.terms()
             )
-    small = [SchurExpansion.basis(lam) for lam in all_partitions(2)] + [
-        SchurExpansion.basis((1,))
-    ]
-    for a in small:
-        for b in small:
-            for c in small:
-                yield schur_product(schur_product(a, b), c) != schur_product(
-                    a, schur_product(b, c)
-                )
 
 
 def _bounded_affine_permutations(n: int):
@@ -303,48 +300,45 @@ def _bounded_affine_permutations(n: int):
     yield from build(1, set(), [])
 
 
-def _suite_stanley_stability(max_n: int):
-    for w in _permutations(max_n):
+def _suite_stanley_stability(n: int):
+    for w in _permutations(n):
         yield stanley(w) != stanley(direct_sum(w, (1,)))
 
 
-def _suite_stanley_positive(max_n: int):
-    for w in _permutations(max_n):
+def _suite_stanley_positive(n: int):
+    for w in _permutations(n):
         yield not stanley(w).is_nonnegative()
 
 
-def _suite_tau_invariance(max_n: int):
-    def probe(f: AffinePermutation) -> int:
+def _suite_tau_invariance(n: int):
+    """Period n: every bounded window, but a seeded sample of 40 at n = 5."""
+    family = _bounded_affine_permutations(n) if n else ()
+    if n == 5:
+        family = random.Random(20243).sample(list(family), 40)
+    for f in family:
         base = affine_stanley(f)
-        return (
+        yield (
             (affine_stanley(tau_shift(f, 1, 0)) != base)
             + (affine_stanley(tau_shift(f, -1, 1)) != base)
             + (base.degree() != length(f))
         )
 
-    for n in range(1, max_n + 1):
-        family = _bounded_affine_permutations(n)
-        if n == 5:
-            family = random.Random(20243).sample(list(family), 40)
-        for f in family:
-            yield probe(f)
 
-
-def _suite_embedded_length(max_n: int):
-    for w in _permutations(max_n):
+def _suite_embedded_length(n: int):
+    for w in _permutations(n):
         yield length(embed(w)) != inversions(w)
 
 
 def _suite_rank_round_trip_codim(n: int):
     """Per rank set in [1, n]: the round trip through its window, and
     codimension against the window's length."""
-    for _, _, m in _rank_sets(n, n):
+    for _, m in _rank_sets(n):
         f = affine_of_rank_set(m)
         yield rank_set_of_affine(f) != m, codimension(m) != length(f)
 
 
-def _suite_interval_rank(max_n: int):
-    for _, n, m in _rank_sets(1, max_n):
+def _suite_interval_rank(n: int):
+    for _, m in _rank_sets(n):
         f = affine_of_rank_set(m)
         for r in range(1, n + 1):
             for s in range(r, n + 1):
@@ -353,10 +347,10 @@ def _suite_interval_rank(max_n: int):
                 )
 
 
-def _suite_class_oracle_stretch(max_n: int):
+def _suite_class_oracle_stretch(n: int):
     """Per rank set: the class of w_M against the class from its affine
     Stanley function, and against the class of w of its stretch."""
-    for k, n, m in _rank_sets(1, max_n, min_k=1):
+    for k, m in _rank_sets(n, min_k=1):
         from_w = phi(stanley(w_of_rank_set(m)), k, n)
         from_f = phi(
             monomial_to_schur(affine_stanley(affine_of_rank_set(m))), k, n
@@ -367,9 +361,8 @@ def _suite_class_oracle_stretch(max_n: int):
         )
 
 
-def _suite_mw_identity(max_n: int):
-    for w in _permutations(max_n):
-        n = len(w)
+def _suite_mw_identity(n: int):
+    for w in _permutations(n):
         f = affine_of_rank_set(rank_set_of_permutation(w))
         expected_window = tuple(range(n + 1, 2 * n + 1)) + tuple(
             x + 2 * n for x in w
@@ -382,13 +375,13 @@ def _suite_mw_identity(max_n: int):
         )
 
 
-def _suite_phi_ring_map(max_n: int):
+def _suite_phi_ring_map(n: int):
     """phi is a ring map: truncating the unclipped Schur product equals
-    class_product, which runs the LR rule only inside k x (n-k)."""
-    rng = random.Random(20241)
-    contexts = [(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
-    for k, n in contexts:
-        parts = [lam for size in range(1, 4) for lam in all_partitions(size)]
+    class_product, which runs the LR rule only inside k x (n-k).  The
+    random factors are seeded by n, not earlier slices."""
+    rng = random.Random(20241 + 1000 * n)
+    parts = [lam for size in range(1, 4) for lam in all_partitions(size)]
+    for k in range(1, n):
         for _ in range(4):
             a = SchurExpansion.basis(rng.choice(parts))
             b = SchurExpansion.basis(rng.choice(parts))
@@ -397,39 +390,37 @@ def _suite_phi_ring_map(max_n: int):
             )
 
 
-def _suite_pieri_degree(max_n: int):
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            sigma1 = schubert_class((1,), k, n)
-            point = point_class(k, n)
-            for size in range(0, k * (n - k) + 1):
-                for lam in box_partitions(size, k, n - k):
-                    x = schubert_class(lam, k, n)
-                    for _ in range(k * (n - k) - size):
-                        x = class_product(x, sigma1)
-                    want = class_degree(schubert_class(lam, k, n))
-                    yield x != want * point or class_degree(x) != want
+def _suite_pieri_degree(n: int):
+    for k in range(1, n):
+        sigma1 = schubert_class((1,), k, n)
+        point = point_class(k, n)
+        for size in range(0, k * (n - k) + 1):
+            for lam in box_partitions(size, k, n - k):
+                x = schubert_class(lam, k, n)
+                for _ in range(k * (n - k) - size):
+                    x = class_product(x, sigma1)
+                want = class_degree(schubert_class(lam, k, n))
+                yield x != want * point or class_degree(x) != want
 
 
-def _suite_rothe_inversions(max_n: int):
-    for w in _permutations(max_n):
+def _suite_rothe_inversions(n: int):
+    for w in _permutations(n):
         yield len(diagram_of_permutation(w).cells) != inversions(w)
 
 
-def _suite_degeneration(max_n: int):
-    for w in _permutations(max_n):
+def _suite_degeneration(n: int):
+    for w in _permutations(n):
         yield not degeneration_check(w)
 
 
-def _all_box_diagrams(rows: int, cols: int, max_size: int):
+def _box_diagrams(rows: int, cols: int, size: int):
     cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    for size in range(max_size + 1):
-        for chosen in combinations(cells, size):
-            yield diagram(chosen)
+    for chosen in combinations(cells, size):
+        yield diagram(chosen)
 
 
-def _suite_james_peel(max_n: int):
-    for d in _all_box_diagrams(3, 3, max_n):
+def _suite_james_peel(n: int):
+    for d in _box_diagrams(3, 3, n):
         base = specht_bruteforce(d)
         for i in range(1, 4):
             for j in range(1, 4):
@@ -439,26 +430,25 @@ def _suite_james_peel(max_n: int):
                 yield any(c > base.coeff(lam) for lam, c in moved.items())
 
 
-def _suite_specht_oracle(max_n: int):
-    for d in _all_box_diagrams(3, 3, max_n):
+def _suite_specht_oracle(n: int):
+    for d in _box_diagrams(3, 3, n):
         try:
             ruled = specht_schur(d)
         except UnsupportedDiagram:
             continue
         yield ruled != specht_bruteforce(d)
-    for n in range(2, 5):
-        for w in iter_permutations(range(1, n + 1)):
+    for size in range(2, 5):
+        for w in iter_permutations(range(1, size + 1)):
             d = diagram_of_permutation(w)
-            if len(d.cells) > max_n:
-                continue
-            ruled = specht_schur(d, f"perm:{permutation_text(w)}")
-            yield ruled != specht_bruteforce(d)
+            if len(d.cells) == n:
+                ruled = specht_schur(d, f"perm:{permutation_text(w)}")
+                yield ruled != specht_bruteforce(d)
 
 
-def _suite_box_duality(max_n: int):
+def _suite_box_duality(n: int):
     boxes = [RectangleContext(2, 2), RectangleContext(2, 3), RectangleContext(3, 2)]
     for ctx in boxes:
-        for d in _all_box_diagrams(ctx.rows, ctx.cols, max_n):
+        for d in _box_diagrams(ctx.rows, ctx.cols, n):
             boxed = diagram(d.cells, ctx)
             dual_cells = complement_rotate(boxed, ctx)
             if len(dual_cells.cells) > 5:
@@ -470,10 +460,18 @@ def _suite_box_duality(max_n: int):
             yield via_rule != specht_bruteforce(dual_cells)
 
 
-def _suite_row_col_invariance(max_n: int):
-    rng = random.Random(20242)
-    pool = [d for d in _all_box_diagrams(3, 3, max_n) if d.cells]
-    for d in rng.sample(pool, min(25, len(pool))):
+def _suite_row_col_invariance(n: int):
+    """Slice 1: the nine one-cell diagrams of 3 x 3; slice 2: 16 seeded
+    draws from its diagrams of 2 to 4 cells.  Each is checked against a
+    seeded shuffle of its rows and columns."""
+    rng = random.Random(20242 + 1000 * n)
+    if n == 1:
+        family = _box_diagrams(3, 3, 1)
+    elif n == 2:
+        family = rng.sample([d for s in (2, 3, 4) for d in _box_diagrams(3, 3, s)], 16)
+    else:
+        return
+    for d in family:
         base = specht_bruteforce(d)
         perm_rows = rng.sample(range(1, 4), 3)
         perm_cols = rng.sample(range(1, 4), 3)
@@ -483,12 +481,14 @@ def _suite_row_col_invariance(max_n: int):
         yield specht_bruteforce(shuffled) != base
 
 
+MAX_SCALE = 10  # each scale costs about 5x the last: 19 s at 10, 112 s at 11
+
 _SUITES = (
-    ("partitions/syt-hook-vs-enumeration", _suite_syt, None),
-    ("partitions/lr-symmetry", _suite_lr_symmetry, None),
-    ("partitions/complement-involution", _suite_complement_involution, None),
+    ("partitions/syt-hook-vs-enumeration", _suite_syt, MAX_SCALE),
+    ("partitions/lr-symmetry", _suite_lr_symmetry, MAX_SCALE),
+    ("partitions/complement-involution", _suite_complement_involution, MAX_SCALE),
     ("partitions/character-orthogonality", _suite_orthogonality, 6),
-    ("symfunc/kostka-round-trip", _suite_kostka_round_trip, None),
+    ("symfunc/kostka-round-trip", _suite_kostka_round_trip, MAX_SCALE),
     ("symfunc/product-laws", _suite_product_laws, 4),
     ("perms/stanley-stability", _suite_stanley_stability, 5),
     ("perms/stanley-schur-positive", _suite_stanley_positive, 5),
@@ -497,7 +497,7 @@ _SUITES = (
     (
         ("rankset/round-trip", "rankset/codim-equals-length"),
         _suite_rank_round_trip_codim,
-        None,
+        MAX_SCALE,
     ),
     ("rankset/interval-rank-identity", _suite_interval_rank, 5),
     (
@@ -513,19 +513,16 @@ _SUITES = (
     ("diagrams/james-peel-monotonicity", _suite_james_peel, 4),
     ("diagrams/specht-oracle-agreement", _suite_specht_oracle, 4),
     ("diagrams/box-duality", _suite_box_duality, 4),
-    ("diagrams/row-col-invariance", _suite_row_col_invariance, 4),
+    ("diagrams/row-col-invariance", _suite_row_col_invariance, 2),
 )
 
 
-MAX_SCALE = 10  # each scale costs about 5x the last: 19 s at 10, 112 s at 11
-
-
 @lru_cache(maxsize=256)
-def _tally(suite, width: int, scale: int) -> tuple[int, tuple[int, ...]]:
-    """Walk suite at scale, streaming its verdicts into a Counter: its case
+def _tally(suite, width: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """Walk slice n of suite, streaming its verdicts into a Counter: its case
     count and the violations of each of its width reports.  Memoized, since
-    a suite's answer depends only on these; keyed on the function object."""
-    counts = Counter(suite(scale) if width > 1 else zip(suite(scale)))
+    a slice's answer depends only on these; keyed on the function object."""
+    counts = Counter(suite(n) if width > 1 else zip(suite(n)))
     bad = [sum(w[i] * times for w, times in counts.items()) for i in range(width)]
     return counts.total(), tuple(bad)
 
@@ -536,12 +533,12 @@ def run_all(max_n: int) -> list[CheckReport]:
     An entry naming one report yields one violation count per case; an
     entry naming a tuple of reports walks its cases once and yields a tuple
     of counts per case, one for each name, summed apart into one report
-    each.  An uncapped suite's report sums its slices 0..max_n.  A suite
-    whose cost grows with symmetric-function degree carries a scale cap in
-    its _SUITES entry and walks its whole family at min(max_n, cap).  Each
-    tally is memoized, so a case is walked once per process however the
-    scales rise or fall; clear_caches() empties the memo.  max_n = 0 runs
-    nothing; a max_n above MAX_SCALE raises TooLarge before any walk.
+    each.  Every suite takes one slice n, the cases new at scale n, and its
+    reports sum slices 0..min(max_n, cap): the cap is MAX_SCALE, or less for
+    a suite whose cost grows fast with degree or size.  Each slice's tally
+    is memoized, so a case is walked once per process however the scales
+    rise or fall; clear_caches() empties the memo.  max_n = 0 runs nothing;
+    a max_n above MAX_SCALE raises TooLarge before any walk.
     """
     if max_n > MAX_SCALE:
         raise TooLarge(f"scale {max_n}; the verify suites stop at {MAX_SCALE}")
@@ -551,8 +548,7 @@ def run_all(max_n: int) -> list[CheckReport]:
     for names, suite, cap in _SUITES:
         if isinstance(names, str):
             names = (names,)
-        scales = range(max_n + 1) if cap is None else (min(max_n, cap),)
-        tallies = [_tally(suite, len(names), s) for s in scales]
+        tallies = [_tally(suite, len(names), s) for s in range(min(max_n, cap) + 1)]
         cases = sum(c for c, _ in tallies)
         bad = map(sum, zip(*(b for _, b in tallies)))
         reports.extend(

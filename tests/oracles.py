@@ -16,10 +16,12 @@ references for the single-pass kernels that replaced them; the complement
 keeps its use of ``partition()`` so that it raises what the library raised.
 So are the earlier recursive box enumerator, the degeneration predicate on
 cell sets and the stretch-loop extraction of w from a rank set.  The
-polytabloids signed by counting each filling's inversions, and the five
-cumulative verify suites, are the library's routes before its sign table
-and its per-slice suites; the cumulative Kostka round trip keeps one seed
-for all degrees.
+polytabloids signed by counting each filling's inversions, and the
+cumulative verify suites, one per _SUITES entry, are the library's routes
+before its sign table and its per-slice suites; they walk each family
+whole, with the library's own kernels (``stanley_by_transition`` is
+``rankcalc.perms.stanley``), and the Kostka round trip, the ring-map
+check and the row-column shuffles keep one seed for all scales.
 """
 
 import random
@@ -27,8 +29,25 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from rankcalc.diagrams import _cycle_type_rep, _polytabloids, _rref_insert
-from rankcalc.errors import NotBounded, NotRankSetShaped, ShapeTooLarge
+from rankcalc.diagrams import (
+    _cycle_type_rep,
+    _polytabloids,
+    _rref_insert,
+    complement_rotate,
+    degeneration_check,
+    diagram,
+    diagram_of_permutation,
+    james_peel_move,
+    specht_bruteforce,
+    specht_schur,
+)
+from rankcalc.errors import (
+    NotBounded,
+    NotRankSetShaped,
+    ShapeTooLarge,
+    UnsupportedDiagram,
+)
+from rankcalc.grassmann import class_degree, class_product, phi, point_class, schubert_class
 from rankcalc.partitions import (
     RectangleContext,
     all_partitions,
@@ -41,17 +60,33 @@ from rankcalc.partitions import (
     partition,
     syt_count,
 )
-from rankcalc.perms import AffinePermutation, affine_stanley, inversions, length
+from rankcalc.perms import (
+    AffinePermutation,
+    affine_stanley,
+    direct_sum,
+    embed,
+    inversions,
+    length,
+    northeast_count,
+    permutation_text,
+    stanley as stanley_by_transition,
+    tau_shift,
+)
 from rankcalc.rankset import (
     affine_of_rank_set,
     all_rank_sets,
     codimension,
+    containment_count,
     rank_set_of_affine,
+    rank_set_of_permutation,
+    stretch,
+    w_of_rank_set,
 )
 from rankcalc.symfunc import (
     SchurExpansion,
     kostka,
     monomial_to_schur,
+    schur_product,
     schur_to_monomial,
 )
 
@@ -399,21 +434,6 @@ def degeneration_holds(w, pattern):
     )
 
 
-def placements_by_recursion(lefts, rights, placed=()):
-    """The orderings of the increasing tuple lefts with i-th entry at most
-    rights[i], lexicographically, as interval tuples; one frame per interval."""
-    i = len(placed)
-    if i == len(rights):
-        yield placed
-        return
-    b = rights[i]
-    for j, a in enumerate(lefts):
-        if a > b:
-            return
-        rest = lefts[:j] + lefts[j + 1:]
-        yield from placements_by_recursion(rest, rights, placed + ((a, b),))
-
-
 def polytabloids_by_inversions(cells):
     """The polytabloids of a cell set, each filling of the sorted cells
     signed by counting its inversions."""
@@ -475,11 +495,224 @@ def suite_rank_round_trip_codim_cumulative(max_n):
                 yield rank_set_of_affine(f) != m, codimension(m) != length(f)
 
 
-# The cumulative suites by the first report of their _SUITES entry.
+def _permutations_through(top):
+    for n in range(1, top + 1):
+        yield from permutations(range(1, n + 1))
+
+
+def _rank_sets_through(top, min_k=0):
+    for n in range(1, top + 1):
+        for k in range(min_k, n + 1):
+            for m in all_rank_sets(k, n):
+                yield k, n, m
+
+
+def _box_diagrams_through(rows, cols, max_size):
+    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    for size in range(max_size + 1):
+        for chosen in combinations(cells, size):
+            yield diagram(chosen)
+
+
+def suite_orthogonality_cumulative(max_n):
+    for m in range(1, max_n + 1):
+        parts = all_partitions(m)
+        for mu in parts:
+            for nu in parts:
+                total = sum(mn_character(lam, mu) * mn_character(lam, nu) for lam in parts)
+                yield total != (centralizer_order(mu) if mu == nu else 0)
+
+
+def suite_product_laws_cumulative(max_n):
+    singles = [
+        SchurExpansion.basis(lam) for size in range(1, max_n + 1) for lam in all_partitions(size)
+    ]
+    for a in singles:
+        for b in singles:
+            left = schur_product(a, b)
+            yield (left != schur_product(b, a)) + sum(
+                sum(lam) != a.degree() + b.degree() for lam in left.terms()
+            )
+    small = [SchurExpansion.basis(lam) for lam in all_partitions(2)] + [
+        SchurExpansion.basis((1,))
+    ]
+    for a in small:
+        for b in small:
+            for c in small:
+                yield schur_product(schur_product(a, b), c) != schur_product(
+                    a, schur_product(b, c)
+                )
+
+
+def suite_stanley_stability_cumulative(max_n):
+    for w in _permutations_through(max_n):
+        yield stanley_by_transition(w) != stanley_by_transition(direct_sum(w, (1,)))
+
+
+def suite_stanley_positive_cumulative(max_n):
+    for w in _permutations_through(max_n):
+        yield not stanley_by_transition(w).is_nonnegative()
+
+
+def suite_tau_invariance_cumulative(max_n):
+    for n in range(1, max_n + 1):
+        family = [AffinePermutation(window) for window in bounded_windows(n)]
+        if n == 5:
+            family = random.Random(20243).sample(family, 40)
+        for f in family:
+            base = affine_stanley(f)
+            yield (
+                (affine_stanley(tau_shift(f, 1, 0)) != base)
+                + (affine_stanley(tau_shift(f, -1, 1)) != base)
+                + (base.degree() != length(f))
+            )
+
+
+def suite_embedded_length_cumulative(max_n):
+    for w in _permutations_through(max_n):
+        yield length(embed(w)) != inversions(w)
+
+
+def suite_interval_rank_cumulative(max_n):
+    for _, n, m in _rank_sets_through(max_n):
+        f = affine_of_rank_set(m)
+        for r in range(1, n + 1):
+            for s in range(r, n + 1):
+                yield containment_count(m, (r, s)) != northeast_count(f, s + 1, n + r - 1)
+
+
+def suite_class_oracle_stretch_cumulative(max_n):
+    for k, n, m in _rank_sets_through(max_n, min_k=1):
+        from_w = phi(stanley_by_transition(w_of_rank_set(m)), k, n)
+        from_f = phi(monomial_to_schur(affine_stanley(affine_of_rank_set(m))), k, n)
+        yield (
+            from_w != from_f,
+            from_w != phi(stanley_by_transition(w_of_rank_set(stretch(m))), k, n),
+        )
+
+
+def suite_mw_identity_cumulative(max_n):
+    for w in _permutations_through(max_n):
+        n = len(w)
+        f = affine_of_rank_set(rank_set_of_permutation(w))
+        expected_window = tuple(range(n + 1, 2 * n + 1)) + tuple(x + 2 * n for x in w)
+        shifted = tau_shift(embed(direct_sum(w, tuple(range(1, n + 1)))), 2 * n, -n)
+        yield (
+            (f.window != expected_window)
+            + (f != shifted)
+            + (monomial_to_schur(affine_stanley(f)) != stanley_by_transition(w))
+        )
+
+
+def suite_phi_ring_map_cumulative(max_n):
+    rng = random.Random(20241)
+    for n in range(2, max_n + 1):
+        for k in range(1, n):
+            parts = [lam for size in range(1, 4) for lam in all_partitions(size)]
+            for _ in range(4):
+                a = SchurExpansion.basis(rng.choice(parts))
+                b = SchurExpansion.basis(rng.choice(parts))
+                yield phi(schur_product(a, b), k, n) != class_product(
+                    phi(a, k, n), phi(b, k, n)
+                )
+
+
+def suite_pieri_degree_cumulative(max_n):
+    for n in range(2, max_n + 1):
+        for k in range(1, n):
+            sigma1 = schubert_class((1,), k, n)
+            point = point_class(k, n)
+            for size in range(0, k * (n - k) + 1):
+                for lam in box_partitions(size, k, n - k):
+                    x = schubert_class(lam, k, n)
+                    for _ in range(k * (n - k) - size):
+                        x = class_product(x, sigma1)
+                    want = class_degree(schubert_class(lam, k, n))
+                    yield x != want * point or class_degree(x) != want
+
+
+def suite_rothe_inversions_cumulative(max_n):
+    for w in _permutations_through(max_n):
+        yield len(diagram_of_permutation(w).cells) != inversions(w)
+
+
+def suite_degeneration_cumulative(max_n):
+    for w in _permutations_through(max_n):
+        yield not degeneration_check(w)
+
+
+def suite_james_peel_cumulative(max_n):
+    for d in _box_diagrams_through(3, 3, max_n):
+        base = specht_bruteforce(d)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if i != j:
+                    moved = specht_bruteforce(james_peel_move(d, i, j))
+                    yield any(c > base.coeff(lam) for lam, c in moved.items())
+
+
+def suite_specht_oracle_cumulative(max_n):
+    for d in _box_diagrams_through(3, 3, max_n):
+        try:
+            ruled = specht_schur(d)
+        except UnsupportedDiagram:
+            continue
+        yield ruled != specht_bruteforce(d)
+    for n in range(2, 5):
+        for w in permutations(range(1, n + 1)):
+            d = diagram_of_permutation(w)
+            if len(d.cells) <= max_n:
+                ruled = specht_schur(d, f"perm:{permutation_text(w)}")
+                yield ruled != specht_bruteforce(d)
+
+
+def suite_box_duality_cumulative(max_n):
+    for ctx in (RectangleContext(2, 2), RectangleContext(2, 3), RectangleContext(3, 2)):
+        for d in _box_diagrams_through(ctx.rows, ctx.cols, max_n):
+            dual_cells = complement_rotate(diagram(d.cells, ctx), ctx)
+            if len(dual_cells.cells) > 5:
+                continue
+            try:
+                via_rule = specht_schur(dual_cells, family="dual")
+            except UnsupportedDiagram:
+                continue
+            yield via_rule != specht_bruteforce(dual_cells)
+
+
+def suite_row_col_invariance_cumulative(max_n):
+    rng = random.Random(20242)
+    pool = [d for d in _box_diagrams_through(3, 3, max_n) if d.cells]
+    for d in rng.sample(pool, min(25, len(pool))):
+        base = specht_bruteforce(d)
+        perm_rows = rng.sample(range(1, 4), 3)
+        perm_cols = rng.sample(range(1, 4), 3)
+        shuffled = diagram((perm_rows[r - 1], perm_cols[c - 1]) for r, c in d.cells)
+        yield specht_bruteforce(shuffled) != base
+
+
+# The cumulative suites by the first report of their _SUITES entry, each
+# walking its whole family up to the scale it is given.
 CUMULATIVE_SUITES = {
     "partitions/syt-hook-vs-enumeration": suite_syt_cumulative,
     "partitions/lr-symmetry": suite_lr_symmetry_cumulative,
     "partitions/complement-involution": suite_complement_involution_cumulative,
+    "partitions/character-orthogonality": suite_orthogonality_cumulative,
     "symfunc/kostka-round-trip": suite_kostka_round_trip_cumulative,
+    "symfunc/product-laws": suite_product_laws_cumulative,
+    "perms/stanley-stability": suite_stanley_stability_cumulative,
+    "perms/stanley-schur-positive": suite_stanley_positive_cumulative,
+    "perms/tau-invariance-and-degree": suite_tau_invariance_cumulative,
+    "perms/embedded-length": suite_embedded_length_cumulative,
     "rankset/round-trip": suite_rank_round_trip_codim_cumulative,
+    "rankset/interval-rank-identity": suite_interval_rank_cumulative,
+    "rankset/class-oracle-equivalence": suite_class_oracle_stretch_cumulative,
+    "rankset/permutation-rank-set-identity": suite_mw_identity_cumulative,
+    "grassmann/phi-ring-map": suite_phi_ring_map_cumulative,
+    "grassmann/pieri-degree": suite_pieri_degree_cumulative,
+    "diagrams/rothe-inversions": suite_rothe_inversions_cumulative,
+    "diagrams/degeneration": suite_degeneration_cumulative,
+    "diagrams/james-peel-monotonicity": suite_james_peel_cumulative,
+    "diagrams/specht-oracle-agreement": suite_specht_oracle_cumulative,
+    "diagrams/box-duality": suite_box_duality_cumulative,
+    "diagrams/row-col-invariance": suite_row_col_invariance_cumulative,
 }

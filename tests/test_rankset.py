@@ -37,13 +37,11 @@ from rankcalc.rankset import (
     rank_set_text,
     stretch,
     w_of_rank_set,
-    _placements,
 )
 from rankcalc.symfunc import monomial_to_schur
 
 from oracles import (
     intervals_of_window,
-    placements_by_recursion,
     rank_variety_dimension,
     w_by_stretching,
     window_of_intervals,
@@ -341,28 +339,18 @@ def test_correspondence_is_a_bijection():
 
 
 def test_all_rank_sets_matches_the_filter():
-    # the oracle is the enumeration the generator replaced: every ordering
-    # of every left-endpoint set, kept when each left is at most its right
+    # the oracle filters every tuple of distinct left ends, lexicographically
+    # within each right set, keeping those with each left at most its right
     for n in range(8):
         for k in range(n + 1):
             filtered = [
                 tuple(zip(lefts, rights))
                 for rights in combinations(range(1, n + 1), k)
-                for lefts_set in combinations(range(1, n + 1), k)
-                for lefts in iter_permutations(lefts_set)
+                for lefts in iter_permutations(range(1, n + 1), k)
                 if all(a <= b for a, b in zip(lefts, rights))
             ]
             generated = [m.intervals for m in all_rank_sets(k, n)]
             assert generated == filtered, (k, n)
-
-
-def test_placements_match_the_recursive_enumeration_through_n7():
-    # every pair of equal-size endpoint sets in [1, 7], order included
-    for k in range(8):
-        for rights in combinations(range(1, 8), k):
-            for lefts in combinations(range(1, 8), k):
-                want = list(placements_by_recursion(lefts, rights))
-                assert list(_placements(lefts, rights)) == want, (lefts, rights)
 
 
 def test_text_round_trip():

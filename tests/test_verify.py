@@ -139,23 +139,25 @@ def test_syt_suite_at_scales_7_and_8():
 
 
 def test_sliced_suites_sum_to_the_cumulative_walks():
-    # each uncapped suite walks one slice; its slices 0..N add up to the
-    # case and violation counts of the cumulative walk it replaced
-    sliced = [e for e in verify._SUITES if e[2] is None]
-    assert len(sliced) == len(CUMULATIVE_SUITES)
-    for names, suite, _ in sliced:
+    # each suite walks one slice; its slices 0..min(max_n, cap) add up to the
+    # case and violation counts of the cumulative walk it replaced, for
+    # every max_n in 0..7
+    assert [e[0] if isinstance(e[0], str) else e[0][0] for e in verify._SUITES] == list(
+        CUMULATIVE_SUITES
+    )
+    for names, suite, cap in verify._SUITES:
         name = names if isinstance(names, str) else names[0]
         width = 1 if isinstance(names, str) else len(names)
         oracle = CUMULATIVE_SUITES[name]
-        for max_n in range(8):
-            tallies = [_tally(suite, width, s) for s in range(max_n + 1)]
+        for scale in range(min(7, cap) + 1):
+            tallies = [_tally(suite, width, s) for s in range(scale + 1)]
             got = (
                 sum(c for c, _ in tallies),
                 tuple(map(sum, zip(*(b for _, b in tallies)))),
             )
-            walked = list(oracle(max_n) if width > 1 else zip(oracle(max_n)))
+            walked = list(oracle(scale) if width > 1 else zip(oracle(scale)))
             want = (len(walked), tuple(map(sum, zip(*walked))) or (0,) * width)
-            assert got == want, (name, max_n)
+            assert got == want, (name, scale)
 
 
 def test_rank_set_suites_at_scale_7():
@@ -173,7 +175,7 @@ def test_rank_set_suites_at_scale_7():
 
 
 def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
-    # uncapped stubs yield the cases of one slice: slice 0 for single, and
+    # the stubs yield the cases of one slice: slice 0 for single, and
     # slice n the n-th case for shared
     def shared(n):
         yield from [(0, 1), (2, 0), (False, True)][n - 1 : n] if n else []
@@ -182,8 +184,8 @@ def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
         verify,
         "_SUITES",
         (
-            ("single", lambda n: iter([1, 0] if n == 0 else []), None),
-            (("left", "right"), shared, None),
+            ("single", lambda n: iter([1, 0] if n == 0 else []), MAX_SCALE),
+            (("left", "right"), shared, MAX_SCALE),
         ),
     )
     assert [(r.name, r.actual, r.passed) for r in run_all(3)] == [
@@ -202,7 +204,7 @@ def test_run_all_counts_each_repeat_of_a_verdict(monkeypatch):
     def repeats(n):
         yield from [(1, 0), (1, 0), (0, 2), (0, 0), (True, True)] if n == 1 else []
 
-    monkeypatch.setattr(verify, "_SUITES", ((("left", "right"), repeats, None),))
+    monkeypatch.setattr(verify, "_SUITES", ((("left", "right"), repeats, MAX_SCALE),))
     assert [r.actual for r in run_all(2)] == [
         "3 violations in 5 cases",
         "3 violations in 5 cases",
@@ -227,38 +229,53 @@ def test_diagram_suites_at_scale_7():
         assert _run_entry(name, 7) == {name: f"0 violations in {cases[name]} cases"}
 
 
-def test_run_all_walks_a_capped_suite_once_per_scale(monkeypatch):
-    walks = []
-
-    def stub(max_n):
-        walks.append(max_n)
-        return iter([False] * max_n)
-
-    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, 2),))
-    for max_n in (2, 3, 5):
-        assert [r.actual for r in run_all(max_n)] == ["0 violations in 2 cases"]
-    assert walks == [2]
-    rankcalc.clear_caches()
-    run_all(3)
-    assert walks == [2, 2]
-
-
 def test_run_all_walks_each_slice_once(monkeypatch):
-    walks = []
+    # capped or not, run_all walks slices 0..min(max_n, cap) of a suite, each
+    # once per process, until clear_caches() empties the memo
+    walks = {"capped": [], "uncapped": []}
 
-    def stub(n):
-        walks.append(n)
-        return iter([False] * n)
+    def stub(name):
+        def suite(n):
+            walks[name].append(n)
+            return iter([False] * n)
 
-    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, None),))
+        return suite
+
+    monkeypatch.setattr(
+        verify,
+        "_SUITES",
+        (("capped", stub("capped"), 2), ("uncapped", stub("uncapped"), MAX_SCALE)),
+    )
     for max_n, cases in ((2, 3), (3, 6), (5, 15)):
-        assert [r.actual for r in run_all(max_n)] == [f"0 violations in {cases} cases"]
-    assert walks == [0, 1, 2, 3, 4, 5]
-    assert [r.actual for r in run_all(4)] == ["0 violations in 10 cases"]
-    assert walks == [0, 1, 2, 3, 4, 5]
+        assert [r.actual for r in run_all(max_n)] == [
+            "0 violations in 3 cases",
+            f"0 violations in {cases} cases",
+        ]
+    assert walks == {"capped": [0, 1, 2], "uncapped": [0, 1, 2, 3, 4, 5]}
+    assert [r.actual for r in run_all(4)][1] == "0 violations in 10 cases"
+    assert walks == {"capped": [0, 1, 2], "uncapped": [0, 1, 2, 3, 4, 5]}
     rankcalc.clear_caches()
     run_all(3)
-    assert walks == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
+    assert walks == {"capped": [0, 1, 2] * 2, "uncapped": [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]}
+
+
+def test_tally_memo_holds_every_slice_up_to_the_bound(monkeypatch):
+    # run_all(MAX_SCALE) tallies one slice per scale 0..cap of each entry;
+    # the memo must hold them all, or a rising verify stream re-walks some
+    monkeypatch.setattr(
+        verify,
+        "_SUITES",
+        tuple((names, lambda n: iter(()), cap) for names, _, cap in verify._SUITES),
+    )
+    rankcalc.clear_caches()
+    run_all(MAX_SCALE)
+    slices = sum(min(MAX_SCALE, cap) + 1 for _, _, cap in verify._SUITES)
+    assert _tally.cache_info().currsize == slices
+    run_all(MAX_SCALE)
+    info = _tally.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (slices, slices, slices)
+    assert slices <= info.maxsize
+    rankcalc.clear_caches()
 
 
 def test_memoized_run_all_matches_a_fresh_one():
@@ -274,7 +291,7 @@ def test_memoized_run_all_matches_a_fresh_one():
 def test_run_all_rejects_a_scale_past_its_bound(monkeypatch):
     walks = []
     monkeypatch.setattr(
-        verify, "_SUITES", (("stub", lambda n: walks.append(n) or iter(()), None),)
+        verify, "_SUITES", (("stub", lambda n: walks.append(n) or iter(()), MAX_SCALE),)
     )
     with pytest.raises(TooLarge, match=f"stop at {MAX_SCALE}"):
         run_all(MAX_SCALE + 1)
