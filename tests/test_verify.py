@@ -142,9 +142,8 @@ def test_sliced_suites_sum_to_the_cumulative_walks():
     # each suite walks one slice; its slices 0..min(max_n, cap) add up to the
     # case and violation counts of the cumulative walk it replaced, for
     # every max_n in 0..7
-    assert [e[0] if isinstance(e[0], str) else e[0][0] for e in verify._SUITES] == list(
-        CUMULATIVE_SUITES
-    )
+    firsts = [names if isinstance(names, str) else names[0] for names, _, _ in verify._SUITES]
+    assert firsts == list(CUMULATIVE_SUITES)
     for names, suite, cap in verify._SUITES:
         name = names if isinstance(names, str) else names[0]
         width = 1 if isinstance(names, str) else len(names)
