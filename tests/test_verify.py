@@ -228,34 +228,41 @@ def test_diagram_suites_at_scale_7():
         assert _run_entry(name, 7) == {name: f"0 violations in {cases[name]} cases"}
 
 
-def test_run_all_walks_each_slice_once(monkeypatch):
-    # capped or not, run_all walks slices 0..min(max_n, cap) of a suite, each
-    # once per process, until clear_caches() empties the memo
-    walks = {"capped": [], "uncapped": []}
+def test_run_all_walks_a_capped_suite_once_per_scale(monkeypatch):
+    # a capped suite walks slices 0..cap once, whatever scale asks past it
+    walks = []
 
-    def stub(name):
-        def suite(n):
-            walks[name].append(n)
-            return iter([False] * n)
+    def stub(n):
+        walks.append(n)
+        return iter([False] * n)
 
-        return suite
-
-    monkeypatch.setattr(
-        verify,
-        "_SUITES",
-        (("capped", stub("capped"), 2), ("uncapped", stub("uncapped"), MAX_SCALE)),
-    )
-    for max_n, cases in ((2, 3), (3, 6), (5, 15)):
-        assert [r.actual for r in run_all(max_n)] == [
-            "0 violations in 3 cases",
-            f"0 violations in {cases} cases",
-        ]
-    assert walks == {"capped": [0, 1, 2], "uncapped": [0, 1, 2, 3, 4, 5]}
-    assert [r.actual for r in run_all(4)][1] == "0 violations in 10 cases"
-    assert walks == {"capped": [0, 1, 2], "uncapped": [0, 1, 2, 3, 4, 5]}
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, 2),))
+    for max_n in (2, 3, 5):
+        assert [r.actual for r in run_all(max_n)] == ["0 violations in 3 cases"]
+    assert walks == [0, 1, 2]
     rankcalc.clear_caches()
     run_all(3)
-    assert walks == {"capped": [0, 1, 2] * 2, "uncapped": [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]}
+    assert walks == [0, 1, 2] * 2
+
+
+def test_run_all_walks_each_slice_once(monkeypatch):
+    # run_all walks slices 0..max_n of a suite, each once per process, until
+    # clear_caches() empties the memo
+    walks = []
+
+    def stub(n):
+        walks.append(n)
+        return iter([False] * n)
+
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, MAX_SCALE),))
+    for max_n, cases in ((2, 3), (3, 6), (5, 15)):
+        assert [r.actual for r in run_all(max_n)] == [f"0 violations in {cases} cases"]
+    assert walks == [0, 1, 2, 3, 4, 5]
+    assert [r.actual for r in run_all(4)] == ["0 violations in 10 cases"]
+    assert walks == [0, 1, 2, 3, 4, 5]
+    rankcalc.clear_caches()
+    run_all(3)
+    assert walks == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
 
 
 def test_tally_memo_holds_every_slice_up_to_the_bound(monkeypatch):
