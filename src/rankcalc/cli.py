@@ -12,8 +12,12 @@ Commands:
 
 Exit codes: 0 success, 1 check failure, 2 parse error (including unknown
 flags and families), 3 domain error (including input too deep for the
-recursive kernels).  --json switches any command to a single JSON
-object on stdout (verify streams one JSON object per line).
+recursive kernels).
+
+Each handler parses, computes and returns its records, (payload, text)
+pairs: one per command, one per report for verify.  main is the only writer
+of stdout: it prints each record, as json.dumps(payload) under --json and
+as text otherwise, and exits 1 when a payload has "passed": false.
 """
 
 from __future__ import annotations
@@ -106,40 +110,29 @@ def _parse_gr(text: str) -> tuple[int, int]:
     return k, n
 
 
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload))
-    else:
-        print(text)
+# One answer of a handler: its JSON payload and its plain text.
+Record = tuple[dict, str]
 
 
-def _cmd_stanley(args) -> int:
+def _cmd_stanley(args) -> list[Record]:
     w = parse_permutation(args.w)
     rendered = stanley(w).text()
-    _emit(
-        {"command": "stanley", "w": permutation_text(w), "schur": rendered},
-        rendered,
-        args.json,
-    )
-    return 0
+    payload = {"command": "stanley", "w": permutation_text(w), "schur": rendered}
+    return [(payload, rendered)]
 
 
-def _cmd_affine_stanley(args) -> int:
+def _cmd_affine_stanley(args) -> list[Record]:
     f = parse_window(args.window)
     rendered = affine_stanley(f).text()
-    _emit(
-        {
-            "command": "affine-stanley",
-            "window": window_text(f),
-            "monomial": rendered,
-        },
-        rendered,
-        args.json,
-    )
-    return 0
+    payload = {
+        "command": "affine-stanley",
+        "window": window_text(f),
+        "monomial": rendered,
+    }
+    return [(payload, rendered)]
 
 
-def _cmd_rank_class(args) -> int:
+def _cmd_rank_class(args) -> list[Record]:
     m = parse_rank_set(args.rankset)
     k, n = (m.k, m.ambient_n) if args.gr is None else _parse_gr(args.gr)
     w = w_of_rank_set(m)
@@ -153,11 +146,10 @@ def _cmd_rank_class(args) -> int:
         "degree": degree,
     }
     text = f"w_M = {permutation_text(w)}\nclass = {cls.text()}\ndegree = {degree}"
-    _emit(payload, text, args.json)
-    return 0
+    return [(payload, text)]
 
 
-def _cmd_diagram_specht(args) -> int:
+def _cmd_diagram_specht(args) -> list[Record]:
     d = parse_diagram(args.diagram)
     expansion = specht_schur(d, args.family)
     payload = {
@@ -166,8 +158,7 @@ def _cmd_diagram_specht(args) -> int:
         "family": args.family or "auto",
         "schur": expansion.text(),
     }
-    _emit(payload, expansion.text(), args.json)
-    return 0
+    return [(payload, expansion.text())]
 
 
 def _class_from_partition(text: str, k: int, n: int):
@@ -177,7 +168,7 @@ def _class_from_partition(text: str, k: int, n: int):
         raise ParseError(f"partition {text!r} does not fit Gr({k},{n}): {exc}") from None
 
 
-def _cmd_schubert(args) -> int:
+def _cmd_schubert(args) -> list[Record]:
     if args.schubert_command == "mult":
         k, n = _parse_gr(args.gr)
         first = _class_from_partition(args.first, k, n)
@@ -189,8 +180,7 @@ def _cmd_schubert(args) -> int:
             "second": args.second.strip(),
             "class": result.text(),
         }
-        _emit(payload, result.text(), args.json)
-        return 0
+        return [(payload, result.text())]
     # degree
     text = args.cls.strip()
     if "@Gr(" in text:
@@ -208,27 +198,24 @@ def _cmd_schubert(args) -> int:
         "class": cls.text(),
         "degree": degree,
     }
-    _emit(payload, str(degree), args.json)
-    return 0
+    return [(payload, str(degree))]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> list[Record]:
     if args.scope == "paper" and args.max_n is not None:
         raise ParseError("--max-n applies to verify suite only")
     max_n = 4 if args.max_n is None else args.max_n
     if max_n < 1:
         raise ParseError(f"--max-n must be at least 1, got {max_n}")
     reports = replay_counterexample() if args.scope == "paper" else run_all(max_n)
-    for report in reports:
-        if args.json:
-            print(json.dumps(asdict(report)))
-        else:
-            status = "PASS" if report.passed else "FAIL"
-            print(
-                f"{status} {report.name}: expected {report.expected}, "
-                f"actual {report.actual}"
-            )
-    return 0 if all(r.passed for r in reports) else 1
+    return [
+        (
+            asdict(r),
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
+            f"expected {r.expected}, actual {r.actual}",
+        )
+        for r in reports
+    ]
 
 
 _HANDLERS = {
@@ -249,7 +236,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on unknown flags or missing arguments
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        records = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -260,6 +247,9 @@ def main(argv=None) -> int:
         # the recursive kernels go one level deeper per part, cell or factor
         print(f"error: input too large for {args.command}", file=sys.stderr)
         return 3
+    for payload, text in records:
+        print(json.dumps(payload) if args.json else text)
+    return 0 if all(payload.get("passed", True) for payload, _ in records) else 1
 
 
 if __name__ == "__main__":

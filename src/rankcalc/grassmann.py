@@ -63,8 +63,8 @@ class SchubertClass(_Expansion):
         return SchubertClass._trusted(self.k, self.n, terms)
 
     @classmethod
-    def basis(cls, lam: Partition, k: int, n: int, coefficient: int = 1):
-        return cls(k, n, {partition(lam): coefficient})
+    def basis(cls, lam: Partition, k: int, n: int):
+        return cls(k, n, {partition(lam): 1})
 
     @classmethod
     def one(cls, k: int, n: int):

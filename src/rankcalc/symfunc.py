@@ -72,8 +72,8 @@ class _Expansion:
         return self._trusted(terms)
 
     @classmethod
-    def basis(cls, lam: Partition, coefficient: int = 1):
-        return cls({partition(lam): coefficient})
+    def basis(cls, lam: Partition):
+        return cls({partition(lam): 1})
 
     @classmethod
     def one(cls):
@@ -268,6 +268,8 @@ def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
     >>> skew_schur((2, 1), (1,)).text()
     '1*s[1,1] + 1*s[2]'
     """
+    if partition(outer) != outer:
+        raise ValueError(f"not a partition: {outer}")
     inner = partition(inner)
     nus = box_partitions(sum(outer) - sum(inner), len(outer), sum(outer[:1]))
     return SchurExpansion((nu, lr_coefficient(outer, inner, nu)) for nu in nus)

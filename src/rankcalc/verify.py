@@ -98,6 +98,7 @@ class CheckReport:
 
 
 def _report(name: str, expected, actual) -> CheckReport:
+    """Every report is built here: it passes when the two texts agree."""
     e, a = str(expected), str(actual)
     return CheckReport(name, e, a, e == a)
 
@@ -122,50 +123,28 @@ def known_diagonal_class() -> SchubertClass:
 
 def replay_counterexample() -> list[CheckReport]:
     """Five checks around the diagonal-diagram class discrepancy."""
-    reports = []
     diag = diagram(DIAGONAL_CELLS, DIAGONAL_BOX)
-
     regular_rep = SchurExpansion(
         {lam: syt_count(lam) for lam in all_partitions(4)}
     )
     s_d = specht_schur(diag)
-    reports.append(
-        _report("diagonal-specht-regular-rep", regular_rep.text(), s_d.text())
-    )
-
     dual = complement_rotate(diag, DIAGONAL_BOX)
     dual_dim = specht_dim(specht_schur(dual, family="dual"))
-    reports.append(_report("box-dual-dimension", 24024, dual_dim))
-
     actual_class = known_diagonal_class()
-    reports.append(
+    degree = class_degree(actual_class)
+    return [
+        _report("diagonal-specht-regular-rep", regular_rep.text(), s_d.text()),
+        _report("box-dual-dimension", 24024, dual_dim),
+        _report("variety-degree-by-class-arithmetic", KNOWN_DIAGONAL_DEGREE, degree),
         _report(
-            "variety-degree-by-class-arithmetic",
-            KNOWN_DIAGONAL_DEGREE,
-            class_degree(actual_class),
-        )
-    )
-
-    discrepancy = dual_dim - class_degree(actual_class)
-    reports.append(
-        _report(
-            "degree-discrepancy-is-f4422",
-            syt_count((4, 4, 2, 2)),
-            discrepancy,
-        )
-    )
-
-    predicted = phi(s_d, 4, 8)
-    difference = predicted - actual_class
-    expected_diff = schubert_class((2, 2), 4, 8)
-    reports.append(
+            "degree-discrepancy-is-f4422", syt_count((4, 4, 2, 2)), dual_dim - degree
+        ),
         _report(
             "predicted-class-minus-actual-is-sigma22",
-            expected_diff.text(),
-            difference.text(),
-        )
-    )
-    return reports
+            schubert_class((2, 2), 4, 8).text(),
+            (phi(s_d, 4, 8) - actual_class).text(),
+        ),
+    ]
 
 
 def check_class_bound(
@@ -173,19 +152,11 @@ def check_class_bound(
 ) -> CheckReport:
     """Report whether the Stanley class of w dominates the supplied actual
     class coefficientwise in Gr(k, n)."""
-    predicted = phi(stanley(w), k, n)
-    difference = predicted - actual_class
-    ok = difference.is_nonnegative()
-    return CheckReport(
-        name=f"class-bound-{permutation_text(w)}",
-        expected="nonnegative difference",
-        actual=(
-            "nonnegative difference"
-            if ok
-            else f"negative coefficients in {difference.text()}"
-        ),
-        passed=ok,
-    )
+    difference = phi(stanley(w), k, n) - actual_class
+    expected = actual = "nonnegative difference"
+    if not difference.is_nonnegative():
+        actual = f"negative coefficients in {difference.text()}"
+    return _report(f"class-bound-{permutation_text(w)}", expected, actual)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +522,8 @@ def run_all(max_n: int) -> list[CheckReport]:
         tallies = [_tally(suite, len(names), s) for s in range(min(max_n, cap) + 1)]
         cases = sum(c for c, _ in tallies)
         bad = map(sum, zip(*(b for _, b in tallies)))
+        tail = f" violations in {cases} cases"
         reports.extend(
-            CheckReport(
-                name=name,
-                expected=f"0 violations in {cases} cases",
-                actual=f"{b} violations in {cases} cases",
-                passed=b == 0,
-            )
-            for name, b in zip(names, bad)
+            _report(name, f"0{tail}", f"{b}{tail}") for name, b in zip(names, bad)
         )
     return reports

@@ -115,7 +115,7 @@ def test_criterion_2_example_triple():
     phi_stated = phi(stated_affine, 2, 4)
     stated_ok = (
         stated_affine == transposed
-        and stated_gap == MonomialExpansion.basis((4,), -1)
+        and stated_gap == -MonomialExpansion.basis((4,))
         and phi_stated == sigma22
     )
 
@@ -133,7 +133,7 @@ def test_criterion_2_example_triple():
     assert counts == oracle, affine_monomial.text()
     assert affine_schur == expected_affine, affine_schur.text()
     assert stated_affine == transposed, transposed.text()
-    assert stated_gap == MonomialExpansion.basis((4,), -1), stated_gap.text()
+    assert stated_gap == -MonomialExpansion.basis((4,)), stated_gap.text()
     assert phi_stated == sigma22
 
 

@@ -2,12 +2,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from rankcalc import cli
 from rankcalc.cli import main
 from rankcalc.grassmann import parse_class
 from rankcalc.symfunc import MonomialExpansion, SchurExpansion, parse_expansion
-from rankcalc.verify import MAX_SCALE
+from rankcalc.verify import MAX_SCALE, CheckReport
 
 
 def run(capsys, *argv):
@@ -344,6 +345,54 @@ def test_verify_paper_json(capsys):
     reports = [json.loads(line) for line in out.splitlines()]
     assert len(reports) == 5
     assert all(r["passed"] for r in reports)
+
+
+def test_a_failed_check_exits_1_after_every_record(capsys, monkeypatch):
+    reports = [
+        CheckReport("holds", "1", "1", True),
+        CheckReport("breaks", "1", "2", False),
+    ]
+    monkeypatch.setattr(cli, "replay_counterexample", lambda: reports)
+    code, out, err = run(capsys, "verify", "paper")
+    assert (code, err) == (1, "")
+    assert out == (
+        "PASS holds: expected 1, actual 1\n"
+        "FAIL breaks: expected 1, actual 2\n"
+    )
+    code, out, err = run(capsys, "verify", "paper", "--json")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [json.loads(line) for line in lines] == [asdict(r) for r in reports]
+    assert '"passed": false' in lines[1]
+
+
+def test_handlers_return_records_and_only_main_prints(capsys):
+    cases = (
+        ("stanley", "31524"),
+        ("affine-stanley", "5,2,7,4;n=4"),
+        ("rank-class", "[1,1],[3,3];n=4"),
+        ("diagram-specht", "(1,1),(2,2)"),
+        ("schubert", "mult", "1", "1", "--gr", "1,2"),
+        ("schubert", "degree", "2,2", "--gr", "4,8"),
+        ("verify", "paper"),
+        ("verify", "suite", "--max-n", "2"),
+    )
+    called = set()
+    for argv in cases:
+        args = cli._build_parser().parse_args(argv)
+        handler = cli._HANDLERS[args.command]
+        records = handler(args)
+        called.add(handler)
+        assert capsys.readouterr() == ("", ""), argv
+        assert records and all(isinstance(p, dict) for p, _ in records), argv
+        # main prints each record, and nothing else
+        assert run(capsys, *argv) == (0, "".join(f"{t}\n" for _, t in records), "")
+        assert run(capsys, *argv, "--json") == (
+            0,
+            "".join(f"{json.dumps(p)}\n" for p, _ in records),
+            "",
+        )
+    assert called == {getattr(cli, f) for f in dir(cli) if f.startswith("_cmd_")}
 
 
 def test_determinism(capsys):

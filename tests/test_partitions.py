@@ -256,6 +256,14 @@ def test_lr_totals_count_skew_standard_fillings(lam, mu):
     }
 
 
+@pytest.mark.parametrize("outer", [(1, 2), (1, 3), (3, 1, 2)])
+def test_skew_schur_rejects_an_outer_shape_that_is_not_a_partition(outer):
+    # no nu fits the box of (1, 2) or (1, 3), so only skew_schur's own check
+    # of outer can refuse them
+    with pytest.raises(ValueError):
+        skew_schur(outer, ())
+
+
 def test_mn_character_examples():
     for mu in all_partitions(5):
         assert mn_character((5,), mu) == 1
