@@ -3,9 +3,9 @@ degenerations, and Specht module decompositions.
 
 Two independent routes to the Schur expansion of a diagram module live
 here.  specht_schur handles the recognized families: literal skew shapes
-(after sorting rows by leftmost cell), permutation diagrams given with
-their permutation, block products of supported parts, and box duals of
-supported diagrams.  specht_bruteforce builds the module from its
+(after sorting rows by leftmost cell), which include every block product
+of skew shapes, permutation diagrams given with their permutation, and box
+duals of supported diagrams.  specht_bruteforce builds the module from its
 definition, the span of the polytabloids inside the tabloid module, takes
 its character from integer-scaled traces in an exact echelon basis, and
 reads multiplicities off against the irreducible characters; it is the
@@ -49,7 +49,7 @@ from .perms import (
     parse_permutation,
     stanley,
 )
-from .symfunc import SchurExpansion, schur_product, skew_schur
+from .symfunc import SchurExpansion, skew_schur
 
 Cell = tuple[int, int]
 
@@ -204,73 +204,53 @@ def product_diagram(d1: Diagram, ctx1: RectangleContext, d2: Diagram) -> Diagram
     return Diagram(frozenset(d1.cells) | shifted)
 
 
-def _compressed_rows(d: Diagram) -> list[frozenset[int]]:
-    """Delete empty rows and columns, returning the rows as column sets."""
-    if not d.cells:
-        return []
-    row_index = {r: i for i, r in enumerate(sorted({r for r, _ in d.cells}))}
-    col_index = {c: i + 1 for i, c in enumerate(sorted({c for _, c in d.cells}))}
-    rows: list[set[int]] = [set() for _ in row_index]
-    for r, c in d.cells:
-        rows[row_index[r]].add(col_index[c])
-    return [frozenset(row) for row in rows]
-
-
 def _as_skew(d: Diagram) -> SchurExpansion | None:
-    """Recognize the cells as a literal skew shape after compressing away
-    empty rows and columns and sorting rows by leftmost cell (descending,
-    ties by rightmost).  Row sorting is a permutation of the rows, which
-    leaves the module unchanged."""
+    """Recognize the cells as a literal skew shape after deleting empty
+    columns and sorting rows by leftmost cell (descending, ties by
+    rightmost), neither of which changes the module.  The sort leaves the
+    inner shape decreasing, and a block product of skew shapes passes: its
+    lower block's rows come first."""
+    col_index = {c: i for i, c in enumerate(sorted({c for _, c in d.cells}), 1)}
+    rows: dict[int, list[int]] = {}
+    for r, c in d.cells:
+        rows.setdefault(r, []).append(col_index[c])
     spans = []
-    for row in _compressed_rows(d):
+    for row in rows.values():
         lo, hi = min(row), max(row)
         if len(row) != hi - lo + 1:
             return None
         spans.append((lo, hi))
     spans.sort(key=lambda span: (-span[0], -span[1]))
     outer = [hi for _, hi in spans]
-    inner = [lo - 1 for lo, _ in spans]
     if any(a < b for a, b in zip(outer, outer[1:])):
         return None
-    if any(a < b for a, b in zip(inner, inner[1:])):
-        return None
-    return skew_schur(partition(outer), tuple(inner))
+    return skew_schur(partition(outer), tuple(lo - 1 for lo, _ in spans))
 
 
-def _try_product_split(d: Diagram) -> SchurExpansion | None:
+def _has_block_split(d: Diagram) -> bool:
+    """Whether some row cut leaves cells on both sides with every cell
+    below it right of every cell above it."""
     rows = sorted({r for r, _ in d.cells})
-    for cut_index in range(1, len(rows)):
-        cut = rows[cut_index - 1]
-        top = {(r, c) for r, c in d.cells if r <= cut}
-        bottom = {(r, c) for r, c in d.cells if r > cut}
-        col_cut = max(c for _, c in top)
-        if any(c <= col_cut for _, c in bottom):
-            continue
-        d2 = diagram((r - cut, c - col_cut) for r, c in bottom)
-        try:
-            top_exp = specht_schur(diagram(top))
-            bottom_exp = specht_schur(d2)
-        except UnsupportedDiagram:
-            continue
-        return schur_product(top_exp, bottom_exp)
-    return None
+    return any(
+        max(c for r, c in d.cells if r <= cut) < min(c for r, c in d.cells if r > cut)
+        for cut in rows[:-1]
+    )
 
 
-# The recognizers each shape family tries in order, and the message raised
-# when none of them applies.
-_SHAPE_RULES = {
-    None: ((_as_skew, _try_product_split), "no decomposition rule for {}"),
-    "skew": ((_as_skew,), "{} is not a skew shape"),
-    "product": ((_try_product_split,), "{} admits no block split"),
+# The message raised, per shape family, when the diagram is not recognized.
+_UNRECOGNIZED = {
+    None: "no decomposition rule for {}",
+    "skew": "{} is not a skew shape",
+    "product": "{} admits no block split",
 }
 
 
 def specht_schur(d: Diagram, family: str | None = None) -> SchurExpansion:
     """Schur expansion of the diagram module for a recognized family.
 
-    family may be None (recognize a skew shape or a block product), "skew",
-    "product", "dual" (requires the diagram's box), or "perm:<one-line>".
-    No rule is guessed for anything else.
+    family may be None or "skew" (a skew shape), "product" (a block split
+    whose cells form a skew shape), "dual" (requires the diagram's box), or
+    "perm:<one-line>".  No rule is guessed for anything else.
 
     >>> specht_schur(diagram([(1, 1), (2, 2)])).text()
     '1*s[1,1] + 1*s[2]'
@@ -287,16 +267,14 @@ def specht_schur(d: Diagram, family: str | None = None) -> SchurExpansion:
                 f"{sorted(d.cells)} is not the inversion diagram of {w}"
             )
         return stanley(w)
-    if family not in _SHAPE_RULES:
+    if family not in _UNRECOGNIZED:
         raise ParseError(f"unknown family {family!r}")
     if not d.cells:
         return SchurExpansion.one()
-    rules, message = _SHAPE_RULES[family]
-    for rule in rules:
-        found = rule(d)
-        if found is not None:
-            return found
-    raise UnsupportedDiagram(message.format(sorted(d.cells)))
+    found = _as_skew(d) if family != "product" or _has_block_split(d) else None
+    if found is None:
+        raise UnsupportedDiagram(_UNRECOGNIZED[family].format(sorted(d.cells)))
+    return found
 
 
 def specht_dim(e: SchurExpansion) -> int:

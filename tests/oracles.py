@@ -10,6 +10,9 @@ kept to check transition against an unrelated algorithm.
 ``specht_by_fractions`` starts from the library's polytabloid echelon basis
 and pairs characters in ``Fraction`` arithmetic, the route
 ``rankcalc.diagrams.specht_bruteforce`` took before its integer pairing.
+``specht_schur_by_splits`` is ``rankcalc.diagrams.specht_schur`` as it was
+before it read block products as skew shapes: it searches the block splits
+and multiplies the parts' expansions with ``schur_product``.
 The rank-set and complement formulas at the end are the library's earlier
 set-difference, two-pass and ``partition()`` routes, kept as differential
 references for the single-pass kernels that replaced them; the complement
@@ -88,6 +91,7 @@ from rankcalc.symfunc import (
     monomial_to_schur,
     schur_product,
     schur_to_monomial,
+    skew_schur,
 )
 
 
@@ -349,6 +353,74 @@ def specht_by_fractions(cells):
     return out
 
 
+def _skew_of_compressed_rows(d):
+    """A skew shape's expansion, or None: delete empty rows and columns,
+    and sort the rows, all intervals, with both endpoints decreasing."""
+    row_index = {r: i for i, r in enumerate(sorted({r for r, _ in d.cells}))}
+    col_index = {c: i + 1 for i, c in enumerate(sorted({c for _, c in d.cells}))}
+    rows = [set() for _ in row_index]
+    for r, c in d.cells:
+        rows[row_index[r]].add(col_index[c])
+    spans = []
+    for row in rows:
+        if len(row) != max(row) - min(row) + 1:
+            return None
+        spans.append((min(row), max(row)))
+    spans.sort(key=lambda span: (-span[0], -span[1]))
+    outer = [hi for _, hi in spans]
+    inner = [lo - 1 for lo, _ in spans]
+    if any(a < b for a, b in zip(outer, outer[1:])):
+        return None
+    if any(a < b for a, b in zip(inner, inner[1:])):
+        return None
+    return skew_schur(partition(outer), tuple(inner))
+
+
+def _product_of_split(d):
+    """The product of the parts' expansions at the first block split whose
+    parts both decompose (by specht_schur_by_splits), or None."""
+    rows = sorted({r for r, _ in d.cells})
+    for cut in rows[:-1]:
+        top = {(r, c) for r, c in d.cells if r <= cut}
+        bottom = {(r, c) for r, c in d.cells if r > cut}
+        col_cut = max(c for _, c in top)
+        if any(c <= col_cut for _, c in bottom):
+            continue
+        try:
+            top_exp = specht_schur_by_splits(diagram(top))
+            bottom_exp = specht_schur_by_splits(
+                diagram((r - cut, c - col_cut) for r, c in bottom)
+            )
+        except UnsupportedDiagram:
+            continue
+        return schur_product(top_exp, bottom_exp)
+    return None
+
+
+def specht_schur_by_splits(d, family=None):
+    """specht_schur for the families None, "skew", "product" and "dual", by
+    the library's route before it read block products as skew shapes: the
+    skew recognizer, then a recursive search over block splits that
+    multiplies the parts' expansions."""
+    if family == "dual":
+        if d.ctx is None:
+            raise UnsupportedDiagram("dual family needs the diagram's box")
+        primal = specht_schur_by_splits(complement_rotate(d, d.ctx))
+        return SchurExpansion({complement(lam, d.ctx): c for lam, c in primal.items()})
+    rules, message = {
+        None: ((_skew_of_compressed_rows, _product_of_split), "no decomposition rule for {}"),
+        "skew": ((_skew_of_compressed_rows,), "{} is not a skew shape"),
+        "product": ((_product_of_split,), "{} admits no block split"),
+    }[family]
+    if not d.cells:
+        return SchurExpansion.one()
+    for rule in rules:
+        found = rule(d)
+        if found is not None:
+            return found
+    raise UnsupportedDiagram(message.format(sorted(d.cells)))
+
+
 def column_transfer(cells, i, j):
     """The cells after moving each cell of column i to column j in every
     row whose column j is empty."""
@@ -546,7 +618,9 @@ def suite_product_laws_cumulative(max_n):
 
 def suite_stanley_stability_cumulative(max_n):
     for w in _permutations_through(max_n):
-        yield stanley_by_transition(w) != stanley_by_transition(direct_sum(w, (1,)))
+        yield schur_to_monomial(stanley_by_transition(w)) != affine_stanley(
+            embed(direct_sum(w, (1,)))
+        )
 
 
 def suite_stanley_positive_cumulative(max_n):

@@ -302,6 +302,57 @@ def test_specht_schur_zigzag_after_row_sort():
     assert specht_schur(zigzag) == specht_bruteforce(zigzag)
 
 
+def _outcome(route, d, family):
+    try:
+        return route(d, family)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_shape_families_match_the_block_split_search():
+    # every cell subset of 3x3 and of 2x4, in each shape family and the dual
+    # one: the same expansion, or the same exception and message, as the
+    # route that searched block splits and multiplied the parts
+    for rows, cols in ((3, 3), (2, 4)):
+        box = RectangleContext(rows, cols)
+        cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+        for size in range(len(cells) + 1):
+            for chosen in combinations(cells, size):
+                d = diagram(chosen, box)
+                for family in (None, "skew", "product", "dual"):
+                    assert _outcome(specht_schur, d, family) == _outcome(
+                        oracles.specht_schur_by_splits, d, family
+                    ), (chosen, family)
+
+
+def test_product_family_needs_a_block_split_of_a_skew_shape():
+    # a skew shape with no block split
+    with pytest.raises(UnsupportedDiagram, match="admits no block split"):
+        specht_schur(diagram([(1, 2), (2, 1), (2, 2)]), "product")
+    # a block split whose lower block is not a skew shape
+    with pytest.raises(UnsupportedDiagram, match="admits no block split"):
+        specht_schur(diagram([(1, 1), (2, 3), (2, 5), (3, 4)]), "product")
+
+
+def test_specht_schur_reads_a_block_product_without_a_search(monkeypatch):
+    calls = []
+    skew_schur = diagrams.skew_schur
+    monkeypatch.setattr(
+        diagrams, "skew_schur", lambda outer, inner: calls.append(outer) or skew_schur(outer, inner)
+    )
+    # a chain of diagonal blocks over one that is not a skew shape: rejected
+    # before any expansion, where a search over its block splits expanded
+    # every run of diagonal cells it cut off
+    chain = diagram([(i, i) for i in range(1, 9)] + [(9, 10), (10, 9), (10, 11)])
+    with pytest.raises(UnsupportedDiagram, match="no decomposition rule"):
+        specht_schur(chain)
+    assert calls == []
+    # the diagonal is one skew shape, in the product family too
+    regular = SchurExpansion({lam: syt_count(lam) for lam in all_partitions(3)})
+    assert specht_schur(diagram([(1, 1), (2, 2), (3, 3)]), "product") == regular
+    assert calls == [(3, 2, 1)]
+
+
 def test_product_multiplicativity_cross_check():
     d1 = diagram([(1, 1), (1, 2)])
     d2 = diagram([(1, 1), (2, 1)])

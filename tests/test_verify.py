@@ -10,6 +10,7 @@ from rankcalc import verify
 from rankcalc.errors import TooLarge
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
+from rankcalc.symfunc import SchurExpansion
 from rankcalc.verify import (
     MAX_SCALE,
     CheckReport,
@@ -170,6 +171,22 @@ def test_rank_set_suites_at_scale_7():
     assert _run_entry("rankset/class-oracle-equivalence", 7) == {
         "rankset/class-oracle-equivalence": "0 violations in 272 cases",
         "rankset/stretch-compatibility": "0 violations in 272 cases",
+    }
+
+
+def test_stanley_stability_suite_can_fail(monkeypatch):
+    # the stable side runs the affine route on the longer window, so a fault
+    # in stanley shows; two stanley calls would share one memo entry and
+    # shift together
+    rankcalc.clear_caches()
+    monkeypatch.setattr(verify, "stanley", lambda w: stanley(w) + SchurExpansion.basis((1,)))
+    assert _run_entry("perms/stanley-stability", 5) == {
+        "perms/stanley-stability": "153 violations in 153 cases"
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("perms/stanley-stability", 5) == {
+        "perms/stanley-stability": "0 violations in 153 cases"
     }
 
 
