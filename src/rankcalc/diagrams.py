@@ -44,6 +44,7 @@ from .partitions import (
 )
 from .perms import (
     Permutation,
+    _rothe_rows,
     check_permutation,
     inversions,
     parse_permutation,
@@ -113,8 +114,7 @@ def diagram_of_permutation(w: Permutation) -> Diagram:
     [(1, 1), (2, 1), (2, 3), (4, 3)]
     """
     w = check_permutation(w)
-    n = len(w)
-    cells = [(i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]]
+    cells = [(i, c) for i, row in enumerate(_rothe_rows(w), 1) for c in w[i:] if row >> c & 1]
     return Diagram._trusted(frozenset(cells))
 
 
@@ -172,11 +172,7 @@ def degeneration_check(w: Permutation) -> bool:
 
 def _degeneration_holds(w: Permutation, pattern: list[int]) -> bool:
     """The two structure properties degeneration_check tests, on row masks."""
-    n = len(w)
-    # row i of the inversion diagram: the values right of w(i) below it
-    inv, seen = [0] * n, 0
-    for i in range(n - 1, -1, -1):
-        inv[i], seen = seen & ((1 << w[i]) - 1), seen | 1 << w[i]
+    n, inv = len(w), _rothe_rows(w)
     square = (2 << n) - 2  # columns 1..n
     for row, inv_row in zip(pattern, inv):
         if row & square != square ^ inv_row:

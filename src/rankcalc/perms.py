@@ -16,8 +16,8 @@ peeling simple reflections off the left, and the length is Shi's formula.
 
 The ordinary Stanley function is computed apart from factorizations, by
 Lascoux-Schuetzenberger transition down to vexillary (2143-avoiding) leaves
-w, where F_w = s_lambda(w) and lambda(w) is the Lehmer code of w sorted into
-decreasing order; so F_312 = s_2, as for the embedded window.
+w, where the rows of the inversion diagram, sorted by size, form a chain and
+F_w = s_lambda(w), lambda(w) the row sizes (the sorted Lehmer code): F_312 = s_2.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import combinations
 from operator import index
 
 from .errors import ParseError
-from .partitions import Partition, box_partitions, conjugate, partition
+from .partitions import Partition, box_partitions, partition
 from .symfunc import MonomialExpansion, SchurExpansion
 
 Permutation = tuple[int, ...]
@@ -48,6 +48,7 @@ def check_permutation(w) -> Permutation:
 
 def inversions(w: Permutation) -> int:
     """Ordinary inversion count."""
+    # a pair count apart from _rothe_rows, so the verify suites can check it
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
@@ -240,10 +241,13 @@ def affine_stanley(f: AffinePermutation) -> MonomialExpansion:
     return MonomialExpansion._trusted({lam: _factorization_count(f0.window, lam) for lam in lams})
 
 
-def _shape(w: Permutation) -> Partition:
-    """lambda(w): the Lehmer code of w sorted into decreasing order."""
-    code = (sum(1 for y in w[i + 1:] if y < x) for i, x in enumerate(w))
-    return partition(sorted(code, reverse=True))
+def _rothe_rows(w: Permutation) -> list[int]:
+    """The inversion (Rothe) diagram of w by rows: row i has bit w(j) set for
+    each inversion i < j, so its popcount is the Lehmer code c_i."""
+    rows, seen = [0] * len(w), 0
+    for i in range(len(w) - 1, -1, -1):
+        rows[i], seen = seen & ((1 << w[i]) - 1), seen | 1 << w[i]
+    return rows
 
 
 def _normalized(w) -> Permutation:
@@ -256,11 +260,10 @@ def _normalized(w) -> Permutation:
 @lru_cache(maxsize=None)
 def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
     """Schur terms of F_w for a normalized w (see stanley)."""
-    lam = _shape(w)
-    # w avoids 2143 exactly when lambda(w^-1) is the conjugate of lambda(w)
-    inverse = tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
-    if _shape(inverse) == conjugate(lam):
-        return ((lam, 1),)
+    rows = sorted(_rothe_rows(w), key=int.bit_count, reverse=True)
+    # w avoids 2143 exactly when its rows, sorted by size, form a chain
+    if all(a & b == b for a, b in zip(rows, rows[1:])):
+        return ((partition(map(int.bit_count, rows)), 1),)
     children: list[Permutation] = []
     while not children:
         r = max(i for i in range(len(w) - 1) if w[i] > w[i + 1])
@@ -289,7 +292,8 @@ def stanley(w: Permutation) -> SchurExpansion:
     w(j) < w(r), and v = w t_rs.  Then F_w is the sum of F_{v t_ir} over the
     i < r with v(i) < v(r) such that no v(k), i < k < r, lies between them;
     if there is no such i, the same step runs on 1 x w, which has one.  A
-    vexillary w is a leaf, F_w = s_lambda(w).  Results are memoized per
+    vexillary w, whose inversion diagram rows form a chain, is a leaf,
+    F_w = s_lambda(w) with lambda(w) the row sizes.  Results are memoized per
     permutation with leading and trailing fixed points dropped.
 
     >>> stanley((3, 2, 1)).text()

@@ -18,7 +18,10 @@ set-difference, two-pass and ``partition()`` routes, kept as differential
 references for the single-pass kernels that replaced them; the complement
 keeps its use of ``partition()`` so that it raises what the library raised.
 So are the earlier recursive box enumerator, the degeneration predicate on
-cell sets and the stretch-loop extraction of w from a rank set.  The
+cell sets and the stretch-loop extraction of w from a rank set, and so are
+the inversion diagram by comparing pairs, the shape by the sorted Lehmer
+code and the vexillary test by conjugate shapes, which rankcalc used before
+it read all three off one set of Rothe row masks.  The
 polytabloids signed by counting each filling's inversions, and the
 cumulative verify suites, one per _SUITES entry, are the library's routes
 before its sign table and its per-slice suites; they walk each family
@@ -145,6 +148,27 @@ def inversion_count(w):
         for j in range(i + 1, len(w))
         if w[i] > w[j]
     )
+
+
+def rothe_cells_by_pairs(w):
+    """The inversion diagram of w: a cell (i, w(j)) for each pair i < j
+    with w(i) > w(j)."""
+    n = len(w)
+    return {(i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]}
+
+
+def shape_by_code(w):
+    """lambda(w): the Lehmer code of w, entry i counting the later entries
+    below w(i), sorted into decreasing order with its zeros dropped."""
+    code = (sum(1 for y in w[i + 1:] if y < x) for i, x in enumerate(w))
+    return tuple(c for c in sorted(code, reverse=True) if c)
+
+
+def vexillary_by_conjugate(w):
+    """Whether w avoids 2143, read as lambda(w^-1) being the conjugate of
+    lambda(w)."""
+    inverse = tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+    return shape_by_code(inverse) == transpose_cells(shape_by_code(w))
 
 
 # --- affine permutation helpers on raw windows ---
@@ -498,7 +522,7 @@ def degeneration_holds(w, pattern):
     inversion diagram, and a cell (i, j) with j > n needs row j - n of the
     inversion diagram to contain row i."""
     n = len(w)
-    inv = {(i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]}
+    inv = rothe_cells_by_pairs(w)
     rows = [{c for r, c in inv if r == i} for i in range(n + 1)]
     square = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
     return pattern & square == square - inv and all(

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations as iter_permutations, product
+from random import Random
 
 import pytest
 
@@ -117,6 +118,20 @@ def _cells_of_rows(pattern):
         for c in range(mask.bit_length())
         if mask >> c & 1
     )
+
+
+def test_diagram_of_permutation_matches_the_pair_comprehension():
+    def check(w):
+        assert diagram_of_permutation(w).cells == oracles.rothe_cells_by_pairs(w), w
+
+    for n in range(1, 8):
+        for w in iter_permutations(range(1, n + 1)):
+            check(w)
+    rng = Random(23)
+    for _ in range(200):
+        w = list(range(1, rng.randint(10, 20) + 1))
+        rng.shuffle(w)
+        check(tuple(w))
 
 
 def _rows_of_cells(cells, n):

@@ -1,9 +1,11 @@
 from itertools import combinations, count, islice, permutations as iter_permutations
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankcalc import perms
 from rankcalc.errors import ParseError
 from rankcalc.partitions import all_partitions
 from rankcalc.perms import (
@@ -37,7 +39,9 @@ from oracles import (
     factorization_counts,
     inversion_count,
     reflection_window,
+    shape_by_code,
     stanley as stanley_oracle,
+    vexillary_by_conjugate,
     window_compose,
     window_eval,
     window_inverse,
@@ -255,7 +259,7 @@ def test_stanley_leaves_and_branches():
     # 2143 is the smallest non-vexillary permutation: one transition step
     assert stanley((2, 1, 4, 3)) == s(2) + s(1, 1)
     assert stanley((1, 3, 2, 5, 4)) == s(2) + s(1, 1)
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 8):
         for w in iter_permutations(range(1, n + 1)):
             f = stanley(w)
             assert stanley(direct_sum((1,), w)) == f  # F_{1 x w} = F_w
@@ -265,6 +269,29 @@ def test_stanley_leaves_and_branches():
                 for a, b, c, d in combinations(range(n), 4)
             )
             assert (list(f.terms().values()) == [1]) == avoids, w
+
+
+def leaf_mismatches(n):
+    """One transition step on every w in S_n, with the children stubbed
+    out: the number of leaves, and the w whose leaf verdict or shape
+    differs from the conjugate-shape test and the sorted Lehmer code."""
+    step = perms._transition.__wrapped__
+    leaves, bad = 0, []
+    with mock.patch.object(perms, "_transition", lambda u: ()):
+        for w in iter_permutations(range(1, n + 1)):
+            want = ((shape_by_code(w), 1),) if vexillary_by_conjugate(w) else ()
+            leaves += bool(want)
+            if step(w) != want:
+                bad.append(w)
+    return leaves, bad
+
+
+def test_leaf_test_reads_the_rothe_rows_as_a_chain():
+    # the vexillary permutations of S_n number 1, 2, 6, 23, ... (A005802)
+    counts = [1, 1, 2, 6, 23, 103, 513, 2761, 15767]
+    for n in range(1, 9):
+        leaves, bad = leaf_mismatches(n)
+        assert (leaves, bad[:5]) == (counts[n], []), n
 
 
 def test_stanley_agrees_with_embedded_oracle_small():
