@@ -18,6 +18,12 @@ Each handler parses, computes and returns its records, (payload, text)
 pairs: one per command, one per report for verify.  main is the only writer
 of stdout: it prints each record, as json.dumps(payload) under --json and
 as text otherwise, and exits 1 when a payload has "passed": false.
+
+main reads plain argv, exact flag names and their values, from one table of
+the grammar, _PLAIN, into the Namespace argparse would give.  The argparse
+parser is built, once per process, only for what that table leaves out:
+--help, abbreviated flags, --flag=value forms and usage errors, with the
+same output and exit codes.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ from .verify import replay_counterexample, run_all
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built once, on the first call to main: parse_args fills a fresh
-    Namespace each call and leaves the parser as it was, failed parses too.
+    """Built once, on the first argv that _plain_parse cannot read: parse_args
+    fills a fresh Namespace each call and leaves the parser as it was, failed
+    parses too.
     """
     parser = argparse.ArgumentParser(
         prog="rankcalc",
@@ -99,6 +106,67 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The plain grammar: for each command word, its positional dests in order and
+# its value flags by option string; every command also takes --json.  It
+# restates _build_parser, and tests/test_cli.py holds the two to each other.
+_PLAIN = {
+    ("stanley",): (("w",), {}),
+    ("affine-stanley",): (("window",), {}),
+    ("rank-class",): (("rankset",), {"--gr": "gr"}),
+    ("diagram-specht",): (("diagram",), {"--family": "family"}),
+    ("schubert", "mult"): (("first", "second"), {"--gr": "gr"}),
+    ("schubert", "degree"): (("cls",), {"--gr": "gr"}),
+    ("verify",): (("scope",), {"--max-n": "max_n"}),
+}
+
+
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace parse_args(argv) gives, when argv is in plain form.
+
+    Plain form is a command word, then its positionals, exact flag names
+    given at most once each and flag values, in any order; no token but a
+    lone "-" (a positional or a value) may start with "-".  Any other argv,
+    including every one that argparse rejects, gives None.
+    """
+    depth = 2 if argv[:1] == ["schubert"] else 1
+    grammar = _PLAIN.get(tuple(argv[:depth]))
+    if grammar is None:
+        return None
+    positionals, flags = grammar
+    values = dict.fromkeys(flags.values())
+    values["json"] = False
+    found = []
+    tokens = iter(argv[depth:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            found.append(token)
+        elif token == "--json" and not values["json"]:
+            values["json"] = True
+        elif token in flags and values[flags[token]] is None:
+            value = next(tokens, "--")
+            if value[:1] == "-" and value != "-":
+                return None
+            values[flags[token]] = value
+        else:
+            return None
+    if len(found) != len(positionals):
+        return None
+    values.update(zip(positionals, found))
+    if depth == 2:
+        if argv[1] == "mult" and values["gr"] is None:
+            return None
+        return argparse.Namespace(command="schubert", schubert_command=argv[1], **values)
+    if argv[0] == "verify":
+        if values["scope"] not in ("paper", "suite"):
+            return None
+        if values["max_n"] is not None:
+            try:
+                values["max_n"] = int(values["max_n"])
+            except ValueError:
+                return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_gr(text: str) -> tuple[int, int]:
     try:
         ktext, ntext = text.split(",")
@@ -138,27 +206,27 @@ def _cmd_rank_class(args) -> list[Record]:
     w = w_of_rank_set(m)
     cls = phi(stanley(w), k, n)
     degree = class_degree(cls)
+    w_text, cls_text = permutation_text(w), cls.text()
     payload = {
         "command": "rank-class",
         "rank_set": args.rankset.strip(),
-        "w": permutation_text(w),
-        "class": cls.text(),
+        "w": w_text,
+        "class": cls_text,
         "degree": degree,
     }
-    text = f"w_M = {permutation_text(w)}\nclass = {cls.text()}\ndegree = {degree}"
-    return [(payload, text)]
+    return [(payload, f"w_M = {w_text}\nclass = {cls_text}\ndegree = {degree}")]
 
 
 def _cmd_diagram_specht(args) -> list[Record]:
     d = parse_diagram(args.diagram)
-    expansion = specht_schur(d, args.family)
+    rendered = specht_schur(d, args.family).text()
     payload = {
         "command": "diagram-specht",
         "diagram": args.diagram.strip(),
         "family": args.family or "auto",
-        "schur": expansion.text(),
+        "schur": rendered,
     }
-    return [(payload, expansion.text())]
+    return [(payload, rendered)]
 
 
 def _class_from_partition(text: str, k: int, n: int):
@@ -173,14 +241,14 @@ def _cmd_schubert(args) -> list[Record]:
         k, n = _parse_gr(args.gr)
         first = _class_from_partition(args.first, k, n)
         second = _class_from_partition(args.second, k, n)
-        result = class_product(first, second)
+        rendered = class_product(first, second).text()
         payload = {
             "command": "schubert-mult",
             "first": args.first.strip(),
             "second": args.second.strip(),
-            "class": result.text(),
+            "class": rendered,
         }
-        return [(payload, result.text())]
+        return [(payload, rendered)]
     # degree
     text = args.cls.strip()
     if "@Gr(" in text:
@@ -229,12 +297,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on unknown flags or missing arguments
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on unknown flags or missing arguments
+            return int(exc.code or 0)
     try:
         records = _HANDLERS[args.command](args)
     except ParseError as exc:

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import random
 import sys
 import time
 from dataclasses import asdict
@@ -320,6 +323,184 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("usage: rankcalc ")
     assert err.endswith("rankcalc: error: unrecognized arguments: --bogus\n")
+
+
+# Good argvs of every command, in plain form: flags before, between and after
+# the positionals, a lone "-" as a positional and as a value, empty and
+# space-led tokens.
+PLAIN_ARGVS = (
+    ("stanley", "31524"),
+    ("stanley", "--json", "321"),
+    ("stanley", ""),
+    ("affine-stanley", "5,2,7,4;n=4", "--json"),
+    ("rank-class", "[1,3],[3,6],[4,5];n=6"),
+    ("rank-class", "--gr", "2,5", "[1,1],[3,3];n=4", "--json"),
+    ("diagram-specht", "(1,1),(2,2)"),
+    ("diagram-specht", "(1,1),(1,2),(3,2),(3,4)", "--family", "perm:31524"),
+    ("diagram-specht", "--json", "--family", "-", " 5"),
+    ("schubert", "mult", "1", "2,1", "--gr", "2,4"),
+    ("schubert", "mult", "-", "1", "--gr", "2,4", "--json"),
+    ("schubert", "mult", "1", "--gr", "2,4", "1"),
+    ("schubert", "mult", "--json", "--gr", "-", "1", "1"),
+    ("schubert", "degree", "2,2", "--gr", "4,8"),
+    ("schubert", "degree", "1*o[2,2]@Gr(2,4)", "--json"),
+    ("verify", "paper"),
+    ("verify", "--json", "suite"),
+    ("verify", "suite", "--max-n", "2"),
+    ("verify", "suite", "--max-n", " 5", "--json"),
+    ("verify", "paper", "--max-n", "+3"),
+)
+
+# Tokens the mutations insert or put in place of others: exact flags, flags
+# argparse alone reads (help, an abbreviation, an = form, "--"), and values
+# on the edge of the plain form.
+MUTANT_TOKENS = (
+    "--json", "--gr", "--family", "--max-n", "-h", "--js", "--gr=2,4",
+    "-", "--", "-1", " 5", "",
+)
+
+
+def argparse_vars(argv):
+    """vars() of the Namespace argparse gives for argv, or None if it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def mutants(rng, count):
+    """count argvs, each a PLAIN_ARGVS entry with one to three tokens
+    inserted, dropped, swapped or replaced."""
+    for _ in range(count):
+        argv = list(rng.choice(PLAIN_ARGVS))
+        for _ in range(rng.randint(1, 3)):
+            edit = rng.randrange(4)
+            at = rng.randrange(len(argv) + 1)
+            if edit == 0:
+                argv.insert(at, rng.choice(MUTANT_TOKENS))
+            elif not argv:
+                continue
+            elif edit == 1:
+                del argv[at % len(argv)]
+            elif edit == 2:
+                other = rng.randrange(len(argv))
+                at %= len(argv)
+                argv[at], argv[other] = argv[other], argv[at]
+            else:
+                argv[at % len(argv)] = rng.choice(MUTANT_TOKENS)
+        yield argv
+
+
+def test_plain_parse_agrees_with_argparse():
+    for argv in PLAIN_ARGVS:
+        plain = cli._plain_parse(list(argv))
+        assert plain is not None, argv
+        assert vars(plain) == argparse_vars(argv), argv
+    plain_count = 0
+    for argv in mutants(random.Random(24), 60000):
+        plain = cli._plain_parse(argv)
+        if plain is not None:
+            plain_count += 1
+            assert vars(plain) == argparse_vars(argv), argv
+    # the mutants reach both sides of the plain form
+    assert 2000 < plain_count < 50000
+
+
+def test_plain_grammar_is_the_parsers_grammar():
+    def leaves(parser, words=()):
+        # a parser with commands takes nothing but -h and its command word
+        help_flag, sub = parser._actions
+        assert isinstance(help_flag, argparse._HelpAction), words
+        assert isinstance(sub, argparse._SubParsersAction), words
+        for name, child in sub.choices.items():
+            if any(isinstance(a, argparse._SubParsersAction) for a in child._actions):
+                yield from leaves(child, (*words, name))
+            else:
+                yield (*words, name), child
+
+    grammar = {}
+    for words, parser in leaves(cli._build_parser()):
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        flags = {
+            a.option_strings[0]: a.dest
+            for a in actions
+            if a.option_strings and isinstance(a, argparse._StoreAction)
+        }
+        (json_flag,) = [a for a in actions if isinstance(a, argparse._StoreTrueAction)]
+        assert (json_flag.option_strings, json_flag.dest) == (["--json"], "json")
+        assert all(len(a.option_strings) <= 1 for a in actions), words
+        assert all(a.default is None and a.nargs is None for a in actions if a is not json_flag)
+        grammar[words] = (tuple(a.dest for a in actions if not a.option_strings), flags)
+        # the checks _plain_parse makes beyond the table
+        assert [a.dest for a in actions if a.required and a.option_strings] == (
+            ["gr"] if words == ("schubert", "mult") else []
+        )
+        assert {a.dest: a.type for a in actions if a.type} == (
+            {"max_n": int} if words == ("verify",) else {}
+        )
+        assert {a.dest: a.choices for a in actions if a.choices} == (
+            {"scope": ["paper", "suite"]} if words == ("verify",) else {}
+        )
+    assert grammar == cli._PLAIN
+
+
+def counted_parsers(monkeypatch):
+    """A list that collects every ArgumentParser built from now on, with
+    the cached parser dropped so that any use of argparse builds one."""
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+    )
+    return built
+
+
+def test_plain_queries_build_no_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    cases = (
+        ("stanley", "31524"),
+        ("affine-stanley", "5,2,7,4;n=4"),
+        ("rank-class", "[1,1],[3,3];n=4", "--json"),
+        ("diagram-specht", "(1,1),(2,2)"),
+        ("schubert", "mult", "1", "1", "--gr", "1,2"),
+        ("schubert", "degree", "2,2", "--gr", "4,8"),
+        ("verify", "paper"),
+        ("verify", "suite", "--max-n", "1"),
+    )
+    built = counted_parsers(monkeypatch)
+    for argv in cases:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert built == []
+    # help and an unknown flag build the parser once, and print its own bytes
+    helped = run(capsys, "--help")
+    first = list(built)
+    rejected = run(capsys, "stanley", "31524", "--bogus")
+    assert first and built == first
+    parser = cli._build_parser()
+    assert helped == (0, parser.format_help(), "")
+    assert rejected == (
+        2,
+        "",
+        parser.format_usage() + "rankcalc: error: unrecognized arguments: --bogus\n",
+    )
+
+
+def test_main_takes_any_sequence_and_sys_argv(capsys, monkeypatch):
+    listed = run(capsys, "stanley", "31524")
+    assert listed == (0, "1*s[2,2] + 1*s[3,1]\n", "")
+    built = counted_parsers(monkeypatch)
+    assert main(("stanley", "31524")) == listed[0]
+    assert capsys.readouterr() == listed[1:]
+    monkeypatch.setattr(sys, "argv", ["rankcalc", "stanley", "31524"])
+    assert main() == listed[0]
+    assert capsys.readouterr() == listed[1:]
+    assert built == []
 
 
 def test_affine_stanley_json_round_trip(capsys):
