@@ -2,15 +2,15 @@
 degenerations, and Specht module decompositions.
 
 Two independent routes to the Schur expansion of a diagram module live
-here.  specht_schur handles the recognized families: literal skew shapes
-(after sorting rows by leftmost cell), which include every block product
-of skew shapes, permutation diagrams given with their permutation, and box
-duals of supported diagrams.  specht_bruteforce builds the module from its
-definition, the span of the polytabloids inside the tabloid module, takes
-its character from integer-scaled traces in an exact echelon basis, and
-reads multiplicities off against the irreducible characters; it is the
-safety net the family rules are checked against, memoized on the cell set
-in a bounded table.
+here.  specht_schur handles the recognized families, all by transition
+(perms.stanley): literal skew shapes after sorting rows by leftmost cell,
+block products of skew shapes among them, through skew_schur; permutation
+diagrams given with their permutation; and box duals of those.
+specht_bruteforce builds the module from its definition, the span of the
+polytabloids inside the tabloid module, takes its character from
+integer-scaled traces in an exact echelon basis, and reads multiplicities
+off against the irreducible characters; it is the safety net the family
+rules are checked against, memoized on the cell set in a bounded table.
 
 Diagram text form: "(1,1),(2,2);box=4x4" (box optional).
 """

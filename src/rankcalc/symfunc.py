@@ -3,9 +3,9 @@
 An expansion is a finite integer combination of basis elements indexed by
 partitions; zero coefficients are never stored and iteration follows the
 fixed partition order, so printing is deterministic.  Basis conversion goes
-through the Kostka numbers, a row at a time by horizontal strips:
-monomial_to_schur inverts that unitriangular system by eliminating
-dominance-maximal terms.
+through Kostka rows built by horizontal strips, and monomial_to_schur
+inverts that unitriangular system by eliminating dominance-maximal terms.
+Products count LR tableaux; skew Schur functions come from perms.stanley.
 
 Text form: "1*s[2,2] + 1*s[3,1] - 1*s[4]" (letter 'm' for the monomial
 basis); the zero expansion renders as "0".
@@ -262,17 +262,28 @@ def schur_product(
 
 
 def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
-    """s_{outer/inner} in the Schur basis: c^outer_{inner nu} on s_nu, where nu
-    fits in outer.
+    """s_{outer/inner} in the Schur basis, as F_w for the 321-avoiding w =
+    v_outer v_inner^-1 (Billey-Jockusch-Stanley): v_lam in S_{k + outer_1},
+    k = l(outer), sends i <= k to i + lam_{k+1-i}, later i to the rest in order.
 
     >>> skew_schur((2, 1), (1,)).text()
     '1*s[1,1] + 1*s[2]'
     """
+    from .perms import stanley  # perms imports this module
+
     if partition(outer) != outer:
         raise ValueError(f"not a partition: {outer}")
     inner = partition(inner)
-    nus = box_partitions(sum(outer) - sum(inner), len(outer), sum(outer[:1]))
-    return SchurExpansion((nu, lr_coefficient(outer, inner, nu)) for nu in nus)
+    if any(a < b for a, b in zip(outer + (0,) * len(inner), inner)):
+        return SchurExpansion()  # inner does not fit inside outer
+    if not outer:  # stanley takes no permutation of S_0
+        return SchurExpansion.one()
+    k, m = len(outer), len(outer) + outer[0]
+    def grassmannian(lam: Partition) -> list[int]:
+        top = [i + p for i, p in enumerate(reversed(lam + (0,) * (k - len(lam))), 1)]
+        return top + sorted(set(range(1, m + 1)).difference(top))
+    v, u = grassmannian(outer), grassmannian(inner)
+    return stanley([v[i] for i in sorted(range(m), key=u.__getitem__)])
 
 
 _TERM_RE = re.compile(r"^(\d+)\*([a-z])\[([^\[\]]*)\]$")

@@ -12,7 +12,12 @@ and pairs characters in ``Fraction`` arithmetic, the route
 ``rankcalc.diagrams.specht_bruteforce`` took before its integer pairing.
 ``specht_schur_by_splits`` is ``rankcalc.diagrams.specht_schur`` as it was
 before it read block products as skew shapes: it searches the block splits
-and multiplies the parts' expansions with ``schur_product``.
+and multiplies the parts' expansions with ``schur_product``.  It reads each
+skew shape through ``skew_schur_by_lr``, ``rankcalc.symfunc.skew_schur`` as
+it was before transition, which counts the LR ballot tableaux of each nu
+with the library's ``lr_coefficient``; so that route never reaches
+transition.  ``stanley_by_increasing_tableaux`` is the Edelman-Greene
+count, apart from transition, factorizations and Kostka numbers alike.
 The rank-set and complement formulas at the end are the library's earlier
 set-difference, two-pass and ``partition()`` routes, kept as differential
 references for the single-pass kernels that replaced them; the complement
@@ -94,7 +99,6 @@ from rankcalc.symfunc import (
     monomial_to_schur,
     schur_product,
     schur_to_monomial,
-    skew_schur,
 )
 
 
@@ -349,6 +353,76 @@ def stanley(w):
     return out
 
 
+def dominates(lam, mu):
+    """Whether lam >= mu in dominance order (equal sizes)."""
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+def stanley_by_increasing_tableaux(w, filtered=True):
+    """F_w in the Schur basis, as {lam: coefficient}, by Edelman-Greene
+    ("Balanced tableaux", 1987): the coefficient of s_lam counts the
+    increasing tableaux of shape lam (rows and columns strictly increasing)
+    whose rows, read from the bottom up and each left to right, spell a
+    reduced word of w^-1.  The cells are filled in that reading order.  The
+    prefix word spells u, and letter i may follow it exactly when
+    u(i) < u(i + 1) and that pair of values is an inversion of w^-1, so the
+    word stays reduced and below w^-1.  With ``filtered`` only the shapes
+    lambda(w) <= lam <= lambda(w^-1)' in dominance are searched."""
+    n = len(w)
+    inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+    wanted = {
+        (inverse[j], inverse[i])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if inverse[i] > inverse[j]
+    }
+    low, high = shape_by_code(w), transpose_cells(shape_by_code(inverse))
+    out = {}
+    for lam in partitions_of(len(wanted)):
+        if filtered and not (dominates(lam, low) and dominates(high, lam)):
+            continue
+        cells = [(r, c) for r in reversed(range(len(lam))) for c in range(lam[r])]
+        grid = [[0] * p for p in lam]
+        u = list(range(1, n + 1))
+
+        def fill(idx):
+            if idx == len(cells):
+                return 1
+            r, c = cells[idx]
+            lo = grid[r][c - 1] + 1 if c else 1
+            hi = grid[r + 1][c] - 1 if r + 1 < len(lam) and c < lam[r + 1] else n - 1
+            total = 0
+            for i in range(lo, hi + 1):
+                if u[i - 1] < u[i] and (u[i - 1], u[i]) in wanted:
+                    u[i - 1], u[i] = u[i], u[i - 1]
+                    grid[r][c] = i
+                    total += fill(idx + 1)
+                    u[i - 1], u[i] = u[i], u[i - 1]
+            return total
+
+        if count := fill(0):
+            out[lam] = count
+    return out
+
+
+def skew_schur_by_lr(outer, inner):
+    """s_{outer/inner} in the Schur basis, the route rankcalc took before
+    transition: c^outer_{inner nu} on s_nu, with each coefficient a count of
+    LR ballot tableaux (``lr_coefficient``), for every nu that fits in
+    outer."""
+    if partition(outer) != outer:
+        raise ValueError(f"not a partition: {outer}")
+    inner = partition(inner)
+    nus = box_partitions(sum(outer) - sum(inner), len(outer), sum(outer[:1]))
+    return SchurExpansion((nu, lr_coefficient(outer, inner, nu)) for nu in nus)
+
+
 def specht_by_fractions(cells):
     """The diagram module of a cell set as {lam: multiplicity}: traces of
     the echelon basis summed as fractions, paired with the irreducible
@@ -397,7 +471,7 @@ def _skew_of_compressed_rows(d):
         return None
     if any(a < b for a, b in zip(inner, inner[1:])):
         return None
-    return skew_schur(partition(outer), tuple(inner))
+    return skew_schur_by_lr(partition(outer), tuple(inner))
 
 
 def _product_of_split(d):

@@ -216,18 +216,25 @@ def test_inputs_too_deep_for_the_recursive_kernels(capsys):
     code, out, _ = run(capsys, "stanley", w0)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (0, "1*s[" + ",".join(map(str, range(49, 0, -1))) + "]\n")
-    # a long affine window and a 1000-cell column recurse once per factor or
-    # cell; each is a domain error, not a crash
+    # a 1000-cell column is the skew shape 1^1000, whose permutation
+    # 2, 3, ..., 1001, 1 transition also answers as a single leaf
+    column = ",".join(f"({i},1)" for i in range(1, 1001))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "diagram-specht", column)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "1*s[" + ",".join(["1"] * 1000) + "]\n")
+    # a long affine window and a product with a 999-row class recurse once
+    # per factor or cell; each is a domain error, not a crash
     reproducers = (
         ("affine-stanley", "1001,2,3,-996;n=4"),
-        ("diagram-specht", ",".join(f"({i},1)" for i in range(1, 1001))),
+        ("schubert", "mult", "1", ",".join(["1"] * 999), "--gr", "1000,1001"),
     )
     for argv in reproducers:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         elapsed = time.perf_counter() - start
         assert (code, out) == (3, ""), argv[0]
-        assert err.startswith("error: input too large") and "Traceback" not in err
+        assert err == f"error: input too large for {argv[0]}\n"
         assert elapsed < 2.0, (argv[0], elapsed)
 
 

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import oracles
-from rankcalc import diagrams
+from rankcalc import diagrams, symfunc
 from rankcalc.diagrams import (
     Diagram,
     complement_rotate,
@@ -27,6 +27,7 @@ from rankcalc.errors import (
     TooLarge,
     UnsupportedDiagram,
 )
+from rankcalc.grassmann import skew_complement_class
 from rankcalc.partitions import RectangleContext, all_partitions, conjugate, syt_count
 from rankcalc.perms import stanley
 from rankcalc.symfunc import SchurExpansion, schur_product
@@ -338,6 +339,33 @@ def test_shape_families_match_the_block_split_search():
                     assert _outcome(specht_schur, d, family) == _outcome(
                         oracles.specht_schur_by_splits, d, family
                     ), (chosen, family)
+
+
+def test_skew_families_reach_no_littlewood_richardson_count(monkeypatch):
+    # the skew, product and dual families and the skew complement class read
+    # skew Schur functions off transition, so with the LR ballot count
+    # refused they still answer as the split-search oracle did without it
+    box = RectangleContext(3, 3)
+    cells = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+    cases = [
+        (diagram(chosen, box), family)
+        for size in range(len(cells) + 1)
+        for chosen in combinations(cells, size)
+        for family in (None, "skew", "product", "dual")
+    ]
+    want = [_outcome(oracles.specht_schur_by_splits, d, family) for d, family in cases]
+    classes = [((4, 3, 2, 1), (3, 2, 1), 4, 8), ((3, 1), (), 2, 5), ((5, 3, 1), (2, 1), 3, 8)]
+    want_classes = [skew_complement_class(*args) for args in classes]
+
+    def refuse(*args):
+        raise AssertionError(f"lr_coefficient{args}")
+
+    monkeypatch.setattr(symfunc, "lr_coefficient", refuse)
+    for (d, family), expected in zip(cases, want):
+        assert _outcome(specht_schur, d, family) == expected, (sorted(d.cells), family)
+    assert [skew_complement_class(*args) for args in classes] == want_classes
+    with pytest.raises(AssertionError, match="lr_coefficient"):
+        schur_product(s(1), s(1))
 
 
 def test_product_family_needs_a_block_split_of_a_skew_shape():

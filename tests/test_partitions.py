@@ -244,7 +244,7 @@ def test_lr_totals_count_skew_standard_fillings(lam, mu):
         lr_coefficient(lam, mu, nu) * syt_count(nu) for nu in all_partitions(rest)
     )
     assert total == skew_syt_by_filling(lam, mu)
-    # the skew Schur expansion searches only the nu inside lam
+    # the skew Schur expansion, by transition, has the same terms
     skew = skew_schur(lam, mu)
     assert sum(c * syt_count(nu) for nu, c in skew.items()) == skew_syt_by_filling(
         lam, mu
@@ -258,8 +258,8 @@ def test_lr_totals_count_skew_standard_fillings(lam, mu):
 
 @pytest.mark.parametrize("outer", [(1, 2), (1, 3), (3, 1, 2)])
 def test_skew_schur_rejects_an_outer_shape_that_is_not_a_partition(outer):
-    # no nu fits the box of (1, 2) or (1, 3), so only skew_schur's own check
-    # of outer can refuse them
+    # read as outer shapes, these build no Grassmannian permutation, so
+    # skew_schur's own check of outer must refuse them
     with pytest.raises(ValueError):
         skew_schur(outer, ())
 

@@ -36,11 +36,14 @@ from rankcalc.symfunc import (
 from oracles import (
     bounded_windows,
     cyclically_decreasing_windows,
+    dominates,
     factorization_counts,
     inversion_count,
     reflection_window,
     shape_by_code,
     stanley as stanley_oracle,
+    stanley_by_increasing_tableaux,
+    transpose_cells,
     vexillary_by_conjugate,
     window_compose,
     window_eval,
@@ -249,6 +252,43 @@ def test_stanley_matches_kostka_inverted_factorizations():
     assert len(perms) == 913
     for w in perms:
         assert stanley(w).terms() == stanley_oracle(w), w
+
+
+def tableau_mismatches(perms):
+    """The number of permutations, and those whose Edelman-Greene count of
+    increasing tableaux differs from transition."""
+    cases, bad = 0, []
+    for w in perms:
+        cases += 1
+        if stanley_by_increasing_tableaux(w) != stanley(w).terms():
+            bad.append(w)
+    return cases, bad
+
+
+def test_stanley_matches_increasing_tableaux():
+    # transition against reduced words read off increasing tableaux: every
+    # permutation of S_7, and seeded ones of S_9 and S_10 with at most 20
+    # inversions
+    perms = list(iter_permutations(range(1, 8)))
+    rng = Random(1987)
+    for n in (9, 10):
+        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
+        perms += islice((w for w in sample if inversion_count(w) <= 20), 40)
+    cases, bad = tableau_mismatches(perms)
+    assert (cases, bad[:5]) == (5040 + 80, [])
+
+
+def test_increasing_tableaux_lie_between_the_shapes_of_w_and_its_inverse():
+    # searched over every shape, the tableaux of F_w have shapes lam with
+    # lambda(w) <= lam <= lambda(w^-1)' in dominance, the bound the count
+    # otherwise assumes
+    for n in range(1, 7):
+        for w in iter_permutations(range(1, n + 1)):
+            inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+            low, high = shape_by_code(w), transpose_cells(shape_by_code(inverse))
+            found = stanley_by_increasing_tableaux(w, filtered=False)
+            assert found == stanley(w).terms(), w
+            assert all(dominates(lam, low) and dominates(high, lam) for lam in found), w
 
 
 def test_stanley_leaves_and_branches():

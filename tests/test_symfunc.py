@@ -12,9 +12,10 @@ from rankcalc.symfunc import (
     parse_expansion,
     schur_product,
     schur_to_monomial,
+    skew_schur,
 )
 
-from oracles import kostka_by_tableaux
+from oracles import kostka_by_tableaux, skew_schur_by_lr
 
 
 def s(*parts):
@@ -70,6 +71,43 @@ def test_schur_product_matches_unboxed_lr_loop():
                 }
             )
             assert schur_product(s(*mu), s(*nu)) == want, (mu, nu)
+
+
+def test_skew_schur_by_transition_matches_the_lr_route():
+    # every mu inside every lam with 1 <= |lam| <= 9, against the route that
+    # counted LR ballot tableaux for each nu
+    pairs = [
+        (lam, mu)
+        for size in range(1, 10)
+        for lam in all_partitions(size)
+        for inner in range(size + 1)
+        for mu in all_partitions(inner)
+        if len(mu) <= len(lam) and all(a >= b for a, b in zip(lam, mu))
+    ]
+    assert len(pairs) == 1591
+    for lam, mu in pairs:
+        assert skew_schur(lam, mu) == skew_schur_by_lr(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "outer, inner, want",
+    [
+        ((), (), "1*s[-]"),
+        ((2,), (3,), "0"),
+        ((2, 1), (1, 1, 1), "0"),
+        ((), (1,), "0"),
+        ((3, 1), (2, 0, 0), "1*s[1,1] + 1*s[2]"),
+        ((1, 2), (), ValueError),
+        ((2.0,), (), TypeError),
+    ],
+)
+def test_skew_schur_edges(outer, inner, want):
+    for route in (skew_schur, skew_schur_by_lr):
+        if isinstance(want, str):
+            assert route(outer, inner).text() == want, route
+        else:
+            with pytest.raises(want):
+                route(outer, inner)
 
 
 def test_kostka_values():
