@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import pathlib
 import random
 import sys
 import time
@@ -306,6 +307,33 @@ def test_one_parser_serves_a_mixed_sequence(capsys, monkeypatch):
         if i == 0:
             first = list(built)
     assert first and built == first
+
+
+def pinned_help():
+    """The --help bytes of the top level, the schubert group and the seven
+    commands, recorded at COLUMNS=80 in cli_help.txt: each block follows its
+    "$ rankcalc ... --help" line."""
+    blocks = {}
+    with open(pathlib.Path(__file__).with_name("cli_help.txt"), encoding="utf-8") as pin:
+        for line in pin:
+            if line.startswith("$ rankcalc "):
+                argv = tuple(line.split()[2:])
+                blocks[argv] = ""
+            else:
+                blocks[argv] += line
+    return blocks
+
+
+def test_help_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    pinned = pinned_help()
+    assert len(pinned) == 9
+    if sys.version_info >= (3, 13):
+        # from 3.13 argparse keeps the "..." of a wrapped usage on its line
+        top = pinned[("--help",)]
+        pinned[("--help",)] = top.replace("verify}\n                ...\n", "verify} ...\n")
+    for argv, text in pinned.items():
+        assert run(capsys, *argv) == (0, text, ""), argv
 
 
 def test_console_script_reads_sys_argv(capsys, monkeypatch):
