@@ -1,15 +1,5 @@
 """Command-line surface with stable text and JSON output.
 
-Commands:
-    stanley <w>
-    affine-stanley <window;n=N>
-    rank-class <rankset> [--gr K,N]
-    diagram-specht <diagram> [--family skew|perm:<w>|product|dual]
-    schubert mult <lam> <mu> --gr K,N
-    schubert degree <class-or-partition> [--gr K,N]
-    verify paper
-    verify suite [--max-n N]
-
 Exit codes: 0 success, 1 check failure, 2 parse error (including unknown
 flags and families), 3 domain error (including input too deep for the
 recursive kernels).
@@ -19,11 +9,12 @@ pairs: one per command, one per report for verify.  main is the only writer
 of stdout: it prints each record, as json.dumps(payload) under --json and
 as text otherwise, and exits 1 when a payload has "passed": false.
 
-main reads plain argv, exact flag names and their values, from one table of
-the grammar, _PLAIN, into the Namespace argparse would give.  The argparse
-parser is built, once per process, only for what that table leaves out:
---help, abbreviated flags, --flag=value forms and usage errors, with the
-same output and exit codes.
+_GRAMMAR states the commands once: their words, handlers, help and
+arguments.  From it main reads plain argv, exact flag names and their
+values, into the Namespace argparse would give, handler included.  The
+argparse parser, built from it once per process, serves only --help,
+abbreviated flags, --flag=value forms and usage errors, with the same output
+and exit codes.
 """
 
 from __future__ import annotations
@@ -54,117 +45,6 @@ from .perms import (
 )
 from .rankset import parse_rank_set, w_of_rank_set
 from .verify import replay_counterexample, run_all
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built once, on the first argv that _plain_parse cannot read: parse_args
-    fills a fresh Namespace each call and leaves the parser as it was, failed
-    parses too.
-    """
-    parser = argparse.ArgumentParser(
-        prog="rankcalc",
-        description="Exact combinatorics of Grassmannian rank varieties.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stanley", help="Schur expansion of a Stanley symmetric function")
-    p.add_argument("w", help="one-line permutation, e.g. 31524")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("affine-stanley", help="monomial expansion for an affine window")
-    p.add_argument("window", help="window text, e.g. 5,2,7,4;n=4")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("rank-class", help="permutation, class, and degree of a rank set")
-    p.add_argument("rankset", help="rank set text, e.g. [1,3],[3,6],[4,5];n=6")
-    p.add_argument("--gr", help="override the Grassmannian context as K,N")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("diagram-specht", help="Schur expansion of a diagram module")
-    p.add_argument("diagram", help="diagram text, e.g. (1,1),(2,2);box=4x4")
-    p.add_argument("--family", help="skew | perm:<w> | product | dual")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("schubert", help="Schubert class arithmetic")
-    schub_sub = p.add_subparsers(dest="schubert_command", required=True)
-    pm = schub_sub.add_parser("mult", help="product of two Schubert classes")
-    pm.add_argument("first", help="partition text, e.g. 1")
-    pm.add_argument("second", help="partition text")
-    pm.add_argument("--gr", required=True, help="Grassmannian context K,N")
-    pm.add_argument("--json", action="store_true")
-    pd = schub_sub.add_parser("degree", help="degree of a class")
-    pd.add_argument("cls", help="class text (with @Gr(k,n)) or a partition")
-    pd.add_argument("--gr", help="context K,N when a bare partition is given")
-    pd.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="run the verification checks")
-    p.add_argument("scope", choices=["paper", "suite"])
-    p.add_argument("--max-n", type=int, help="suite scale, at least 1 (default 4)")
-    p.add_argument("--json", action="store_true")
-
-    return parser
-
-
-# The plain grammar: for each command word, its positional dests in order and
-# its value flags by option string; every command also takes --json.  It
-# restates _build_parser, and tests/test_cli.py holds the two to each other.
-_PLAIN = {
-    ("stanley",): (("w",), {}),
-    ("affine-stanley",): (("window",), {}),
-    ("rank-class",): (("rankset",), {"--gr": "gr"}),
-    ("diagram-specht",): (("diagram",), {"--family": "family"}),
-    ("schubert", "mult"): (("first", "second"), {"--gr": "gr"}),
-    ("schubert", "degree"): (("cls",), {"--gr": "gr"}),
-    ("verify",): (("scope",), {"--max-n": "max_n"}),
-}
-
-
-def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace parse_args(argv) gives, when argv is in plain form.
-
-    Plain form is a command word, then its positionals, exact flag names
-    given at most once each and flag values, in any order; no token but a
-    lone "-" (a positional or a value) may start with "-".  Any other argv,
-    including every one that argparse rejects, gives None.
-    """
-    depth = 2 if argv[:1] == ["schubert"] else 1
-    grammar = _PLAIN.get(tuple(argv[:depth]))
-    if grammar is None:
-        return None
-    positionals, flags = grammar
-    values = dict.fromkeys(flags.values())
-    values["json"] = False
-    found = []
-    tokens = iter(argv[depth:])
-    for token in tokens:
-        if token[:1] != "-" or token == "-":
-            found.append(token)
-        elif token == "--json" and not values["json"]:
-            values["json"] = True
-        elif token in flags and values[flags[token]] is None:
-            value = next(tokens, "--")
-            if value[:1] == "-" and value != "-":
-                return None
-            values[flags[token]] = value
-        else:
-            return None
-    if len(found) != len(positionals):
-        return None
-    values.update(zip(positionals, found))
-    if depth == 2:
-        if argv[1] == "mult" and values["gr"] is None:
-            return None
-        return argparse.Namespace(command="schubert", schubert_command=argv[1], **values)
-    if argv[0] == "verify":
-        if values["scope"] not in ("paper", "suite"):
-            return None
-        if values["max_n"] is not None:
-            try:
-                values["max_n"] = int(values["max_n"])
-            except ValueError:
-                return None
-    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse_gr(text: str) -> tuple[int, int]:
@@ -236,30 +116,30 @@ def _class_from_partition(text: str, k: int, n: int):
         raise ParseError(f"partition {text!r} does not fit Gr({k},{n}): {exc}") from None
 
 
-def _cmd_schubert(args) -> list[Record]:
-    if args.schubert_command == "mult":
-        k, n = _parse_gr(args.gr)
-        first = _class_from_partition(args.first, k, n)
-        second = _class_from_partition(args.second, k, n)
-        rendered = class_product(first, second).text()
-        payload = {
-            "command": "schubert-mult",
-            "first": args.first.strip(),
-            "second": args.second.strip(),
-            "class": rendered,
-        }
-        return [(payload, rendered)]
-    # degree
+def _cmd_schubert_mult(args) -> list[Record]:
+    k, n = _parse_gr(args.gr)
+    first = _class_from_partition(args.first, k, n)
+    second = _class_from_partition(args.second, k, n)
+    rendered = class_product(first, second).text()
+    payload = {
+        "command": "schubert-mult",
+        "first": args.first.strip(),
+        "second": args.second.strip(),
+        "class": rendered,
+    }
+    return [(payload, rendered)]
+
+
+def _cmd_schubert_degree(args) -> list[Record]:
     text = args.cls.strip()
     if "@Gr(" in text:
         cls = parse_class(text)
         if args.gr is not None and _parse_gr(args.gr) != cls.context():
             raise ParseError(f"--gr {args.gr} disagrees with the class context")
+    elif args.gr is None:
+        raise ParseError("a bare partition needs --gr K,N")
     else:
-        if args.gr is None:
-            raise ParseError("a bare partition needs --gr K,N")
-        k, n = _parse_gr(args.gr)
-        cls = _class_from_partition(text, k, n)
+        cls = _class_from_partition(text, *_parse_gr(args.gr))
     degree = class_degree(cls)
     payload = {
         "command": "schubert-degree",
@@ -286,14 +166,128 @@ def _cmd_verify(args) -> list[Record]:
     ]
 
 
-_HANDLERS = {
-    "stanley": _cmd_stanley,
-    "affine-stanley": _cmd_affine_stanley,
-    "rank-class": _cmd_rank_class,
-    "diagram-specht": _cmd_diagram_specht,
-    "schubert": _cmd_schubert,
-    "verify": _cmd_verify,
+# The grammar, stated once: for each command, by its words, its handler, its
+# help and its arguments in order.  An argument is a positional dest or an
+# option string, its help and any further add_argument keywords; every command
+# also takes --json, last.  A group of commands has no handler.
+_GRAMMAR = {
+    ("stanley",): (
+        _cmd_stanley, "Schur expansion of a Stanley symmetric function",
+        ("w", "one-line permutation, e.g. 31524"),
+    ),
+    ("affine-stanley",): (
+        _cmd_affine_stanley, "monomial expansion for an affine window",
+        ("window", "window text, e.g. 5,2,7,4;n=4"),
+    ),
+    ("rank-class",): (
+        _cmd_rank_class, "permutation, class, and degree of a rank set",
+        ("rankset", "rank set text, e.g. [1,3],[3,6],[4,5];n=6"),
+        ("--gr", "override the Grassmannian context as K,N"),
+    ),
+    ("diagram-specht",): (
+        _cmd_diagram_specht, "Schur expansion of a diagram module",
+        ("diagram", "diagram text, e.g. (1,1),(2,2);box=4x4"),
+        ("--family", "skew | perm:<w> | product | dual"),
+    ),
+    ("schubert",): (None, "Schubert class arithmetic"),
+    ("schubert", "mult"): (
+        _cmd_schubert_mult, "product of two Schubert classes",
+        ("first", "partition text, e.g. 1"),
+        ("second", "partition text"),
+        ("--gr", "Grassmannian context K,N", {"required": True}),
+    ),
+    ("schubert", "degree"): (
+        _cmd_schubert_degree, "degree of a class",
+        ("cls", "class text (with @Gr(k,n)) or a partition"),
+        ("--gr", "context K,N when a bare partition is given"),
+    ),
+    ("verify",): (
+        _cmd_verify, "run the verification checks",
+        ("scope", None, {"choices": ("paper", "suite")}),
+        ("--max-n", "suite scale, at least 1 (default 4)", {"type": int}),
+    ),
 }
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """Built from _GRAMMAR once, on the first argv that _plain_parse cannot
+    read: parse_args fills a fresh Namespace each call and leaves the parser
+    as it was, failed parses too."""
+    parser = argparse.ArgumentParser(
+        prog="rankcalc",
+        description="Exact combinatorics of Grassmannian rank varieties.",
+    )
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (handler, about, *arguments) in _GRAMMAR.items():
+        p = groups[words[:-1]].add_parser(words[-1], help=about)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest=f"{words[-1]}_command", required=True)
+            continue
+        for name, text, *keywords in arguments:
+            p.add_argument(name, help=text, **dict(*keywords))
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=handler)
+    return parser
+
+
+def _plain_grammar(words, handler, _, *arguments):
+    """_plain_parse's reading of one command: its depth, the values a parse
+    starts from, its positional dests, its flags' dests and its checks."""
+    dests = {name: name.lstrip("-").replace("-", "_") for name, *_ in arguments}
+    flags = {name: dest for name, dest in dests.items() if name[0] == "-"}
+    start = dict(zip(("command", f"{words[0]}_command"), words), handler=handler, json=False)
+    start.update(dict.fromkeys(flags.values()))
+    positionals = [dest for name, dest in dests.items() if name not in flags]
+    checks = [(dests[name], dict(*keywords)) for name, _, *keywords in arguments if keywords]
+    return len(words), start, positionals, flags, checks
+
+
+_PLAIN = {words: _plain_grammar(words, *entry) for words, entry in _GRAMMAR.items() if entry[0]}
+
+
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace parse_args(argv) gives, when argv is in plain form.
+
+    Plain form is a command's words, then its positionals, exact flag names
+    given at most once each and flag values, in any order; no token but a
+    lone "-" (a positional or a value) may start with "-".  Any other argv,
+    including every one that argparse rejects, gives None.
+    """
+    grammar = _PLAIN.get(tuple(argv[:1])) or _PLAIN.get(tuple(argv[:2]))
+    if grammar is None:
+        return None
+    depth, values, positionals, flags, checks = grammar
+    values = dict(values)
+    found = []
+    tokens = iter(argv[depth:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            found.append(token)
+        elif token == "--json" and not values["json"]:
+            values["json"] = True
+        elif token in flags and values[flags[token]] is None:
+            value = next(tokens, "--")
+            if value[:1] == "-" and value != "-":
+                return None
+            values[flags[token]] = value
+        else:
+            return None
+    if len(found) != len(positionals):
+        return None
+    values.update(zip(positionals, found))
+    for dest, keywords in checks:
+        if values[dest] is None:
+            if keywords.get("required"):
+                return None
+            continue
+        try:
+            values[dest] = keywords.get("type", str)(values[dest])
+        except ValueError:
+            return None
+        if values[dest] not in keywords.get("choices", [values[dest]]):
+            return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -306,7 +300,7 @@ def main(argv=None) -> int:
             # argparse exits 2 on unknown flags or missing arguments
             return int(exc.code or 0)
     try:
-        records = _HANDLERS[args.command](args)
+        records = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .errors import NotHomogeneous, ParseError
 from .partitions import (
     Partition,
     box_partitions,
+    contains,
     lr_coefficient,
     partition,
     partition_text,
@@ -273,9 +274,8 @@ def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
 
     if partition(outer) != outer:
         raise ValueError(f"not a partition: {outer}")
-    inner = partition(inner)
-    if any(a < b for a, b in zip(outer + (0,) * len(inner), inner)):
-        return SchurExpansion()  # inner does not fit inside outer
+    if not contains(outer, inner := partition(inner)):
+        return SchurExpansion()
     if not outer:  # stanley takes no permutation of S_0
         return SchurExpansion.one()
     k, m = len(outer), len(outer) + outer[0]

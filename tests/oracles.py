@@ -714,16 +714,13 @@ def suite_product_laws_cumulative(max_n):
                 )
 
 
-def suite_stanley_stability_cumulative(max_n):
+def suite_stanley_stability_positive_cumulative(max_n):
     for w in _permutations_through(max_n):
-        yield schur_to_monomial(stanley_by_transition(w)) != affine_stanley(
-            embed(direct_sum(w, (1,)))
+        a = affine_stanley(embed(direct_sum(w, (1,))))
+        yield (
+            schur_to_monomial(stanley_by_transition(w)) != a,
+            not monomial_to_schur(a).is_nonnegative(),
         )
-
-
-def suite_stanley_positive_cumulative(max_n):
-    for w in _permutations_through(max_n):
-        yield not stanley_by_transition(w).is_nonnegative()
 
 
 def suite_tau_invariance_cumulative(max_n):
@@ -871,8 +868,7 @@ CUMULATIVE_SUITES = {
     "partitions/character-orthogonality": suite_orthogonality_cumulative,
     "symfunc/kostka-round-trip": suite_kostka_round_trip_cumulative,
     "symfunc/product-laws": suite_product_laws_cumulative,
-    "perms/stanley-stability": suite_stanley_stability_cumulative,
-    "perms/stanley-schur-positive": suite_stanley_positive_cumulative,
+    "perms/stanley-stability": suite_stanley_stability_positive_cumulative,
     "perms/tau-invariance-and-degree": suite_tau_invariance_cumulative,
     "perms/embedded-length": suite_embedded_length_cumulative,
     "rankset/round-trip": suite_rank_round_trip_codim_cumulative,

@@ -456,30 +456,28 @@ def test_plain_grammar_is_the_parsers_grammar():
             else:
                 yield (*words, name), child
 
-    grammar = {}
-    for words, parser in leaves(cli._build_parser()):
-        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-        flags = {
-            a.option_strings[0]: a.dest
-            for a in actions
-            if a.option_strings and isinstance(a, argparse._StoreAction)
-        }
-        (json_flag,) = [a for a in actions if isinstance(a, argparse._StoreTrueAction)]
+    built = dict(leaves(cli._build_parser()))
+    assert list(built) == [words for words, entry in cli._GRAMMAR.items() if entry[0]]
+    for words, parser in built.items():
+        handler, _, *arguments = cli._GRAMMAR[words]
+        assert parser.get_default("handler") is handler
+        # each action is the table's argument, in order, and --json is last
+        *actions, json_flag = [
+            a for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert isinstance(json_flag, argparse._StoreTrueAction)
         assert (json_flag.option_strings, json_flag.dest) == (["--json"], "json")
-        assert all(len(a.option_strings) <= 1 for a in actions), words
-        assert all(a.default is None and a.nargs is None for a in actions if a is not json_flag)
-        grammar[words] = (tuple(a.dest for a in actions if not a.option_strings), flags)
-        # the checks _plain_parse makes beyond the table
-        assert [a.dest for a in actions if a.required and a.option_strings] == (
-            ["gr"] if words == ("schubert", "mult") else []
-        )
-        assert {a.dest: a.type for a in actions if a.type} == (
-            {"max_n": int} if words == ("verify",) else {}
-        )
-        assert {a.dest: a.choices for a in actions if a.choices} == (
-            {"scope": ["paper", "suite"]} if words == ("verify",) else {}
-        )
-    assert grammar == cli._PLAIN
+        assert len(actions) == len(arguments), words
+        for action, (name, text, *keywords) in zip(actions, arguments):
+            keywords = dict(*keywords)
+            assert isinstance(action, argparse._StoreAction), name
+            assert action.option_strings == ([name] if name[0] == "-" else []), name
+            assert action.dest == name.lstrip("-").replace("-", "_"), name
+            assert (action.help, action.default, action.nargs) == (text, None, None), name
+            assert action.required == keywords.get("required", name[0] != "-"), name
+            assert action.type == keywords.get("type"), name
+            assert action.choices == keywords.get("choices"), name
+            assert set(keywords) <= {"required", "type", "choices"}, name
 
 
 def counted_parsers(monkeypatch):
@@ -596,7 +594,7 @@ def test_handlers_return_records_and_only_main_prints(capsys):
     called = set()
     for argv in cases:
         args = cli._build_parser().parse_args(argv)
-        handler = cli._HANDLERS[args.command]
+        handler = args.handler
         records = handler(args)
         called.add(handler)
         assert capsys.readouterr() == ("", ""), argv
@@ -608,6 +606,8 @@ def test_handlers_return_records_and_only_main_prints(capsys):
             "".join(f"{json.dumps(p)}\n" for p, _ in records),
             "",
         )
+    # the table's handlers, every _cmd_ function of the module
+    assert called == {entry[0] for entry in cli._GRAMMAR.values() if entry[0]}
     assert called == {getattr(cli, f) for f in dir(cli) if f.startswith("_cmd_")}
 
 

@@ -10,7 +10,7 @@ from rankcalc import verify
 from rankcalc.errors import TooLarge
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
-from rankcalc.symfunc import SchurExpansion
+from rankcalc.symfunc import SchurExpansion, monomial_to_schur
 from rankcalc.verify import (
     MAX_SCALE,
     CheckReport,
@@ -181,12 +181,33 @@ def test_stanley_stability_suite_can_fail(monkeypatch):
     rankcalc.clear_caches()
     monkeypatch.setattr(verify, "stanley", lambda w: stanley(w) + SchurExpansion.basis((1,)))
     assert _run_entry("perms/stanley-stability", 5) == {
-        "perms/stanley-stability": "153 violations in 153 cases"
+        "perms/stanley-stability": "153 violations in 153 cases",
+        "perms/stanley-schur-positive": "0 violations in 153 cases",
     }
     monkeypatch.undo()
     rankcalc.clear_caches()
     assert _run_entry("perms/stanley-stability", 5) == {
-        "perms/stanley-stability": "0 violations in 153 cases"
+        "perms/stanley-stability": "0 violations in 153 cases",
+        "perms/stanley-schur-positive": "0 violations in 153 cases",
+    }
+
+
+def test_stanley_schur_positive_suite_can_fail(monkeypatch):
+    # the positivity half reads the Schur form of the affine route, which a
+    # fault there can make negative (other windows have affine Stanley
+    # functions that are not Schur positive); stanley(w), a sum of leaves
+    # with coefficient 1, could not fail it.  Negated, every form fails.
+    rankcalc.clear_caches()
+    monkeypatch.setattr(verify, "monomial_to_schur", lambda f: -monomial_to_schur(f))
+    assert _run_entry("perms/stanley-schur-positive", 5) == {
+        "perms/stanley-stability": "0 violations in 153 cases",
+        "perms/stanley-schur-positive": "153 violations in 153 cases",
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("perms/stanley-schur-positive", 5) == {
+        "perms/stanley-stability": "0 violations in 153 cases",
+        "perms/stanley-schur-positive": "0 violations in 153 cases",
     }
 
 
