@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the recursive kernels go one level deeper per part, cell or factor
+        # the recursive kernels go one level deeper per part or factor
         print(f"error: input too large for {args.command}", file=sys.stderr)
         return 3
     for payload, text in records:

@@ -3,10 +3,10 @@
 A partition is a plain tuple of weakly decreasing positive integers, e.g.
 ``(4, 4, 2, 2)``; ``()`` is the empty partition.  All counting here is exact
 integer arithmetic: the hook length product is formed as an integer and
-asserted to divide n!, Littlewood-Richardson coefficients are obtained by
-enumerating the ballot tableaux they count, and characters come from the
-border-strip recursion.  Kostka numbers are not counted here: symfunc gets
-them from horizontal strips.
+asserted to divide n!, Littlewood-Richardson coefficients come from one
+iterative strip-by-strip walk that yields a whole product at once, and
+characters come from the border-strip recursion.  Kostka numbers are not
+counted here: symfunc gets them from horizontal strips.
 
 The text form writes parts separated by commas ("4,4,2,2"); the empty
 partition renders as "-".
@@ -14,7 +14,9 @@ partition renders as "-".
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 from operator import ge, index
 from typing import Iterable, Iterator, NamedTuple
@@ -174,57 +176,58 @@ def syt_count(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
+def _lr_walk(
+    mu: Partition, nu: Partition, rows: int, cols: int
+) -> tuple[tuple[Partition, int], ...]:
+    """The nonzero c^lam_{mu nu} with lam in rows x cols, as (lam, c), by
+    Buch's strip-by-strip rule (lrcalc).  The rows of nu join mu as
+    horizontal strips, strip i labelled i, and the reverse reading word is
+    ballot when, through every row r, strip i + 1 holds no more cells than
+    strip i holds through row r - 1.  Equal states merge."""
+    # a state is a shape and its limit: limit[r] (past the end, limit[-1]) is
+    # the most cells the next strip may hold through row r; the first strip
+    # is bounded by its own size
+    states = {(mu, (sum(nu[:1]),)): 1} if fits(mu, rows, cols) else {}
+    for size in nu:
+        after: Counter[tuple[Partition, tuple[int, ...]]] = Counter()
+        for (shape, limit), mult in states.items():
+            strips = [(0, ())]  # (cells held, (row, cells) of each row used)
+            # only rows with room: row 0 up to cols, row r up to old row r - 1
+            for r, (top, low) in enumerate(zip(((cols,) + shape)[:rows], shape + (0,))):
+                if top > low:
+                    bound = limit[min(r, len(limit) - 1)]
+                    strips = [
+                        (held + c, cells + ((r, c),) if c else cells)
+                        for held, cells in strips
+                        for c in range(min(top - low, bound - held, size - held) + 1)
+                    ]
+            for held, cells in strips:
+                if held == size:
+                    grown, steps = list(shape) + [0], [0] * (cells[-1][0] + 2)
+                    for r, c in cells:
+                        grown[r] += c
+                        steps[r + 1] = c
+                    grown = grown if grown[-1] else grown[:-1]
+                    after[tuple(grown), tuple(accumulate(steps))] += mult
+        states = after
+    out: Counter[Partition] = Counter()
+    for (shape, _), mult in states.items():
+        out[shape] += mult
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^lam_{mu nu}.
+    """Littlewood-Richardson coefficient c^lam_{mu nu}, read off the walk of
+    s_mu s_nu in lam's box.
 
-    Counts fillings of the skew shape lam/mu with content nu whose reverse
-    reading word is a ballot word, placing entries in that order (rows top
-    to bottom, right to left) so the ballot test runs as each is placed.
-    Zero unless |lam| = |mu| + |nu| and both mu and nu fit inside lam.
-
-    >>> lr_coefficient((2, 1), (1,), (1, 1))
-    1
     >>> lr_coefficient((4, 3, 2, 1), (3, 2, 1), (2, 1, 1))
     3
     """
     for p in (lam, mu, nu):
         if partition(p) != p:
             raise ValueError(f"not a partition: {p}")
-    if sum(mu) + sum(nu) != sum(lam):
-        return 0
-    if not contains(lam, mu) or not contains(lam, nu):
-        return 0
-    rows = len(lam)
-    inner = mu + (0,) * (rows - len(mu))
-    cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, inner[r] - 1, -1)]
-    nvals = len(nu)
-    counts = [0] * (nvals + 1)
-    grid = [[0] * p for p in lam]
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = grid[r][c + 1] if c + 1 < lam[r] else None
-        above = None
-        if r > 0 and inner[r - 1] <= c < lam[r - 1]:
-            above = grid[r - 1][c]
-        lo = above + 1 if above else 1
-        hi = right if right is not None else nvals
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            grid[r][c] = v
-            total += place(idx + 1)
-            counts[v] -= 1
-            grid[r][c] = 0
-        return total
-
-    return place(0)
+    return dict(_lr_walk(mu, nu, len(lam), sum(lam[:1]))).get(lam, 0)
 
 
 @lru_cache(maxsize=None)

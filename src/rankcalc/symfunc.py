@@ -5,7 +5,8 @@ partitions; zero coefficients are never stored and iteration follows the
 fixed partition order, so printing is deterministic.  Basis conversion goes
 through Kostka rows built by horizontal strips, and monomial_to_schur
 inverts that unitriangular system by eliminating dominance-maximal terms.
-Products count LR tableaux; skew Schur functions come from perms.stanley.
+Products read the LR walk of partitions; skew Schur functions come from
+perms.stanley.
 
 Text form: "1*s[2,2] + 1*s[3,1] - 1*s[4]" (letter 'm' for the monomial
 basis); the zero expansion renders as "0".
@@ -22,9 +23,8 @@ from operator import index
 from .errors import NotHomogeneous, ParseError
 from .partitions import (
     Partition,
-    box_partitions,
+    _lr_walk,
     contains,
-    lr_coefficient,
     partition,
     partition_text,
     parse_partition,
@@ -238,11 +238,10 @@ def monomial_to_schur(m: MonomialExpansion) -> SchurExpansion:
 def schur_product(
     a: _Expansion, b: _Expansion, box: tuple[int, int] | None = None
 ) -> SchurExpansion:
-    """Product via the Littlewood-Richardson rule, extended bilinearly; c^lam_{mu nu}
-    vanishes unless lam fits in l(mu) + l(nu) rows of mu_1 + nu_1 columns.
-    Only the terms of a and b are read, each as a Schur function.  With
-    ``box=(rows, cols)`` only the terms fitting in that box are computed,
-    and no coefficient outside it is evaluated.
+    """Product via the Littlewood-Richardson rule, extended bilinearly: one
+    walk per pair of terms, each read as a Schur function, inside
+    ``box=(rows, cols)`` if given, else in the l(mu) + l(nu) rows of
+    mu_1 + nu_1 columns outside which c^lam_{mu nu} vanishes.
 
     >>> schur_product(SchurExpansion.basis((1,)), SchurExpansion.basis((1,))).text()
     '1*s[1,1] + 1*s[2]'
@@ -252,13 +251,9 @@ def schur_product(
     data: dict[Partition, int] = {}
     for mu, cm in a.items():
         for nu, cn in b.items():
-            rows, cols = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
-            if box is not None:
-                rows, cols = min(rows, box[0]), min(cols, box[1])
-            for lam in box_partitions(sum(mu) + sum(nu), rows, cols):
-                c = lr_coefficient(lam, mu, nu)
-                if c:
-                    data[lam] = data.get(lam, 0) + cm * cn * c
+            support = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
+            for lam, c in _lr_walk(mu, nu, *(box or support)):
+                data[lam] = data.get(lam, 0) + cm * cn * c
     return SchurExpansion._trusted(data)
 
 

@@ -47,11 +47,11 @@ from .grassmann import (
 )
 from .partitions import (
     RectangleContext,
+    _lr_walk,
     all_partitions,
     box_partitions,
     centralizer_order,
     complement,
-    lr_coefficient,
     mn_character,
     syt_count,
 )
@@ -188,8 +188,10 @@ def _suite_lr_symmetry(total: int):
     for a in range(total + 1):
         for mu in all_partitions(a):
             for nu in all_partitions(total - a):
+                box = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
+                left, right = dict(_lr_walk(mu, nu, *box)), dict(_lr_walk(nu, mu, *box))
                 for lam in all_partitions(total):
-                    yield lr_coefficient(lam, mu, nu) != lr_coefficient(lam, nu, mu)
+                    yield left.get(lam, 0) != right.get(lam, 0)
 
 
 def _suite_complement_involution(n: int):
@@ -254,21 +256,10 @@ def _suite_product_laws(n: int):
 
 
 def _bounded_affine_permutations(n: int):
-    """All bounded windows for period n, any average shift."""
-    def build(i: int, used: set, window: list):
-        if i > n:
-            yield AffinePermutation(tuple(window))
-            return
-        for value in range(i, i + n + 1):
-            if value % n in used:
-                continue
-            used.add(value % n)
-            window.append(value)
-            yield from build(i + 1, used, window)
-            window.pop()
-            used.discard(value % n)
-
-    yield from build(1, set(), [])
+    """All bounded windows for period n, any average shift: distinct residues."""
+    for window in product(*(range(i, i + n + 1) for i in range(1, n + 1))):
+        if len({value % n for value in window}) == n:
+            yield AffinePermutation(window)
 
 
 def _suite_stanley_stability_positive(n: int):

@@ -15,8 +15,12 @@ before it read block products as skew shapes: it searches the block splits
 and multiplies the parts' expansions with ``schur_product``.  It reads each
 skew shape through ``skew_schur_by_lr``, ``rankcalc.symfunc.skew_schur`` as
 it was before transition, which counts the LR ballot tableaux of each nu
-with the library's ``lr_coefficient``; so that route never reaches
-transition.  ``stanley_by_increasing_tableaux`` is the Edelman-Greene
+with ``lr_by_ballot_tableaux``; so that route never reaches transition.
+``lr_by_ballot_tableaux`` is the recursive count of ballot tableaux that
+``rankcalc.partitions.lr_coefficient`` ran before the strip-by-strip walk,
+and ``schur_product_by_ballots`` is ``rankcalc.symfunc.schur_product`` as it
+was then, one count per partition of the clipped box; they check the walk
+from outside it.  ``stanley_by_increasing_tableaux`` is the Edelman-Greene
 count, apart from transition, factorizations and Kostka numbers alike.
 The rank-set and complement formulas at the end are the library's earlier
 set-difference, two-pass and ``partition()`` routes, kept as differential
@@ -31,8 +35,9 @@ polytabloids signed by counting each filling's inversions, and the
 cumulative verify suites, one per _SUITES entry, are the library's routes
 before its sign table and its per-slice suites; they walk each family
 whole, with the library's own kernels (``stanley_by_transition`` is
-``rankcalc.perms.stanley``), and the Kostka round trip, the ring-map
-check and the row-column shuffles keep one seed for all scales.
+``rankcalc.perms.stanley``) except the LR symmetry walk, which counts
+ballot tableaux as the library did then, and the Kostka round trip, the
+ring-map check and the row-column shuffles keep one seed for all scales.
 """
 
 import random
@@ -65,8 +70,8 @@ from rankcalc.partitions import (
     box_partitions,
     centralizer_order,
     complement,
+    contains,
     fits,
-    lr_coefficient,
     mn_character,
     partition,
     syt_count,
@@ -411,16 +416,64 @@ def stanley_by_increasing_tableaux(w, filtered=True):
     return out
 
 
+def lr_by_ballot_tableaux(lam, mu, nu):
+    """c^lam_{mu nu}: the fillings of lam/mu with content nu whose reverse
+    reading word is a ballot word, placed in that order (rows top to
+    bottom, right to left) so the ballot test runs as each is placed."""
+    for p in (lam, mu, nu):
+        if partition(p) != p:
+            raise ValueError(f"not a partition: {p}")
+    if sum(mu) + sum(nu) != sum(lam) or not (contains(lam, mu) and contains(lam, nu)):
+        return 0
+    inner = mu + (0,) * (len(lam) - len(mu))
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, inner[r] - 1, -1)]
+    counts = [0] * (len(nu) + 1)
+    grid = [[0] * p for p in lam]
+
+    def place(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        right = grid[r][c + 1] if c + 1 < lam[r] else len(nu)
+        above = grid[r - 1][c] if r > 0 and inner[r - 1] <= c < lam[r - 1] else 0
+        total = 0
+        for v in range(above + 1, right + 1):
+            if counts[v] < nu[v - 1] and (v == 1 or counts[v] < counts[v - 1]):
+                counts[v] += 1
+                grid[r][c] = v
+                total += place(idx + 1)
+                counts[v] -= 1
+                grid[r][c] = 0
+        return total
+
+    return place(0)
+
+
+def schur_product_by_ballots(a, b, box=None):
+    """The Schur product as rankcalc formed it before the LR walk: for each
+    pair of terms, one ballot count per partition of the support box,
+    clipped to ``box=(rows, cols)`` if given."""
+    data = {}
+    for mu, cm in a.items():
+        for nu, cn in b.items():
+            rows, cols = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
+            if box is not None:
+                rows, cols = min(rows, box[0]), min(cols, box[1])
+            for lam in box_partitions(sum(mu) + sum(nu), rows, cols):
+                data[lam] = data.get(lam, 0) + cm * cn * lr_by_ballot_tableaux(lam, mu, nu)
+    return SchurExpansion(data)
+
+
 def skew_schur_by_lr(outer, inner):
     """s_{outer/inner} in the Schur basis, the route rankcalc took before
     transition: c^outer_{inner nu} on s_nu, with each coefficient a count of
-    LR ballot tableaux (``lr_coefficient``), for every nu that fits in
-    outer."""
+    LR ballot tableaux (``lr_by_ballot_tableaux``), for every nu that fits
+    in outer."""
     if partition(outer) != outer:
         raise ValueError(f"not a partition: {outer}")
     inner = partition(inner)
     nus = box_partitions(sum(outer) - sum(inner), len(outer), sum(outer[:1]))
-    return SchurExpansion((nu, lr_coefficient(outer, inner, nu)) for nu in nus)
+    return SchurExpansion((nu, lr_by_ballot_tableaux(outer, inner, nu)) for nu in nus)
 
 
 def specht_by_fractions(cells):
@@ -626,7 +679,9 @@ def suite_lr_symmetry_cumulative(max_n):
             for mu in all_partitions(a):
                 for nu in all_partitions(total - a):
                     for lam in all_partitions(total):
-                        yield lr_coefficient(lam, mu, nu) != lr_coefficient(lam, nu, mu)
+                        yield lr_by_ballot_tableaux(lam, mu, nu) != lr_by_ballot_tableaux(
+                            lam, nu, mu
+                        )
 
 
 def suite_complement_involution_cumulative(max_n):

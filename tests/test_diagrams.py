@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import oracles
-from rankcalc import diagrams, symfunc
+from rankcalc import diagrams, partitions, symfunc
 from rankcalc.diagrams import (
     Diagram,
     complement_rotate,
@@ -343,8 +343,8 @@ def test_shape_families_match_the_block_split_search():
 
 def test_skew_families_reach_no_littlewood_richardson_count(monkeypatch):
     # the skew, product and dual families and the skew complement class read
-    # skew Schur functions off transition, so with the LR ballot count
-    # refused they still answer as the split-search oracle did without it
+    # skew Schur functions off transition, so with the LR walk refused they
+    # still answer as the split-search oracle did without it
     box = RectangleContext(3, 3)
     cells = [(r, c) for r in range(1, 4) for c in range(1, 4)]
     cases = [
@@ -358,13 +358,17 @@ def test_skew_families_reach_no_littlewood_richardson_count(monkeypatch):
     want_classes = [skew_complement_class(*args) for args in classes]
 
     def refuse(*args):
-        raise AssertionError(f"lr_coefficient{args}")
+        raise AssertionError(f"_lr_walk{args}")
 
-    monkeypatch.setattr(symfunc, "lr_coefficient", refuse)
+    # lr_coefficient reads the walk through the partitions module; a memo
+    # hit would answer without reaching it
+    partitions.lr_coefficient.cache_clear()
+    monkeypatch.setattr(partitions, "_lr_walk", refuse)
+    monkeypatch.setattr(symfunc, "_lr_walk", refuse)
     for (d, family), expected in zip(cases, want):
         assert _outcome(specht_schur, d, family) == expected, (sorted(d.cells), family)
     assert [skew_complement_class(*args) for args in classes] == want_classes
-    with pytest.raises(AssertionError, match="lr_coefficient"):
+    with pytest.raises(AssertionError, match="_lr_walk"):
         schur_product(s(1), s(1))
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from rankcalc.errors import ParseError, ShapeTooLarge, SizeMismatch
 from rankcalc.grassmann import SchubertClass, phi, schubert_class
 from rankcalc.partitions import (
     RectangleContext,
+    _lr_walk,
     all_partitions,
     box_partitions,
     centralizer_order,
@@ -29,6 +31,7 @@ from rankcalc.symfunc import SchurExpansion, skew_schur
 from oracles import (
     box_complement,
     box_partitions_by_recursion,
+    lr_by_ballot_tableaux,
     skew_syt_by_filling,
     syt_by_filling,
     transpose_cells,
@@ -220,6 +223,37 @@ def test_lr_diagonal_skew_is_regular_representation():
     # multiplicities are the standard tableau counts
     for nu in all_partitions(4):
         assert lr_coefficient((4, 3, 2, 1), (3, 2, 1), nu) == syt_count(nu)
+
+
+def walk_coefficient(lam, mu, nu):
+    """c^lam_{mu nu} off the LR walk of s_mu s_nu in its support box."""
+    walk = _lr_walk(mu, nu, len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1]))
+    return dict(walk).get(lam, 0)
+
+
+def lr_mismatches(max_size, routes=(walk_coefficient,)):
+    """The number of triples lam, mu, nu with |mu| + |nu| = |lam| <= max_size,
+    and those on which some route(lam, mu, nu) differs from the ballot
+    oracle."""
+    cases, bad = 0, []
+    for size in range(max_size + 1):
+        for a in range(size + 1):
+            for mu, nu in product(all_partitions(a), all_partitions(size - a)):
+                for lam in all_partitions(size):
+                    cases += 1
+                    want = lr_by_ballot_tableaux(lam, mu, nu)
+                    if any(route(lam, mu, nu) != want for route in routes):
+                        bad.append((lam, mu, nu))
+    return cases, bad
+
+
+def test_lr_walk_and_its_readers_match_the_ballot_oracle():
+    # every triple with |lam| <= 9: the walk in the support box, the public
+    # lr_coefficient (the walk in lam's box) and skew_schur, by transition
+    skew = lru_cache(maxsize=None)(skew_schur)
+    routes = (walk_coefficient, lr_coefficient, lambda lam, mu, nu: skew(lam, mu).coeff(nu))
+    cases, bad = lr_mismatches(9, routes)
+    assert (cases, bad[:5]) == (15830, [])
 
 
 @settings(max_examples=60, deadline=None)

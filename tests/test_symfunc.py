@@ -1,8 +1,10 @@
+from random import Random
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from rankcalc.errors import NotHomogeneous, ParseError
-from rankcalc.partitions import all_partitions, lr_coefficient, sort_key
+from rankcalc.partitions import all_partitions, box_partitions, sort_key
 from rankcalc.symfunc import (
     MonomialExpansion,
     SchurExpansion,
@@ -15,7 +17,12 @@ from rankcalc.symfunc import (
     skew_schur,
 )
 
-from oracles import kostka_by_tableaux, skew_schur_by_lr
+from oracles import (
+    kostka_by_tableaux,
+    lr_by_ballot_tableaux,
+    schur_product_by_ballots,
+    skew_schur_by_lr,
+)
 
 
 def s(*parts):
@@ -59,18 +66,36 @@ def test_expansion_mechanics():
 
 
 def test_schur_product_matches_unboxed_lr_loop():
-    # the product searches only the LR support box; the oracle searches
-    # every partition of the total size
+    # the product walks only the LR support box; the oracle counts the
+    # ballot tableaux of every partition of the total size
     singles = [lam for size in range(5) for lam in all_partitions(size)]
     for mu in singles:
         for nu in singles:
             want = SchurExpansion(
                 {
-                    lam: lr_coefficient(lam, mu, nu)
+                    lam: lr_by_ballot_tableaux(lam, mu, nu)
                     for lam in all_partitions(sum(mu) + sum(nu))
                 }
             )
             assert schur_product(s(*mu), s(*nu)) == want, (mu, nu)
+
+
+def test_clipped_products_match_the_per_lam_ballot_product():
+    # seeded two-term expansions in Gr(k, 2k), k <= 6, whose products reach
+    # degree k^2 / 2, clipped to the k x k box: the walk against one ballot
+    # count per partition of the box
+    rng = Random(2028)
+    for k in range(1, 7):
+        half, box = k * k // 2, (k, k)
+
+        def pick(size):
+            return rng.choice(list(box_partitions(size, k, k)))
+
+        for _ in range(4):
+            d, e = rng.randint(0, half), rng.randint(0, half)
+            a = SchurExpansion({pick(d): 2, pick(e): -1})
+            b = SchurExpansion({pick(half - d): 1, pick(half - e): 3})
+            assert schur_product(a, b, box=box) == schur_product_by_ballots(a, b, box), (a, b)
 
 
 def test_skew_schur_by_transition_matches_the_lr_route():

@@ -192,6 +192,26 @@ def test_stanley_stability_suite_can_fail(monkeypatch):
     }
 
 
+def test_lr_symmetry_suite_can_fail(monkeypatch):
+    # the suite reads s_mu s_nu and s_nu s_mu off two walks, so a walk that
+    # favours the larger factor breaks the symmetry wherever it has a term
+    walk = verify._lr_walk
+
+    def lopsided(mu, nu, rows, cols):
+        return tuple((lam, c + (mu > nu)) for lam, c in walk(mu, nu, rows, cols))
+
+    rankcalc.clear_caches()
+    monkeypatch.setattr(verify, "_lr_walk", lopsided)
+    assert _run_entry("partitions/lr-symmetry", 4) == {
+        "partitions/lr-symmetry": "48 violations in 143 cases",
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("partitions/lr-symmetry", 4) == {
+        "partitions/lr-symmetry": "0 violations in 143 cases",
+    }
+
+
 def test_stanley_schur_positive_suite_can_fail(monkeypatch):
     # the positivity half reads the Schur form of the affine route, which a
     # fault there can make negative (other windows have affine Stanley
@@ -355,10 +375,11 @@ def _memo_tables():
 def test_clear_caches_empties_every_table():
     tables = _memo_tables()
     oracle = tables["rankcalc.diagrams._polytabloid_expansion"]
+    walk = tables["rankcalc.partitions._lr_walk"]
     # a memo hit left by an earlier run_all would skip the Specht suites
     rankcalc.clear_caches()
     run_all(3)
-    assert oracle.cache_info().currsize
+    assert oracle.cache_info().currsize and walk.cache_info().currsize
     rankcalc.clear_caches()
     sizes = {name: table.cache_info().currsize for name, table in tables.items()}
     assert sizes == dict.fromkeys(tables, 0)
