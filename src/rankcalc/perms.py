@@ -15,9 +15,9 @@ module of its Rothe diagram.  Factorizations are counted on raw windows by
 peeling simple reflections off the left, and the length is Shi's formula.
 
 The ordinary Stanley function is computed apart from factorizations, by
-Lascoux-Schuetzenberger transition down to vexillary (2143-avoiding) leaves
-w, where the rows of the inversion diagram, sorted by size, form a chain and
-F_w = s_lambda(w), lambda(w) the row sizes (the sorted Lehmer code): F_312 = s_2.
+Lascoux-Schuetzenberger transition, one step on 1 x w per node, down to
+vexillary (2143-avoiding) leaves w, whose inversion diagram rows, sorted by
+size, form a chain: F_w = s_lambda(w), lambda(w) the row sizes: F_312 = s_2.
 """
 
 from __future__ import annotations
@@ -264,24 +264,19 @@ def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
     # w avoids 2143 exactly when its rows, sorted by size, form a chain
     if all(a & b == b for a, b in zip(rows, rows[1:])):
         return ((partition(map(int.bit_count, rows)), 1),)
-    children: list[Permutation] = []
-    while not children:
-        r = max(i for i in range(len(w) - 1) if w[i] > w[i + 1])
-        s = max(j for j in range(r + 1, len(w)) if w[j] < w[r])
-        v = list(w)
-        v[r], v[s] = v[s], v[r]
-        low = 0  # the largest v(k) < v(r) met so far, for i < k < r
-        for i in range(r - 1, -1, -1):
-            if low < v[i] < v[r]:
-                u = v[:]
-                u[i], u[r] = u[r], u[i]
-                children.append(_normalized(u))
-                low = v[i]
-        w = (1,) + tuple(x + 1 for x in w)  # 1 x w, used if there is no child
+    v = [1] + [x + 1 for x in w]  # 1 x w, whose 1 is met last (see stanley)
+    r = max(i for i in range(len(w)) if v[i] > v[i + 1])
+    s = max(j for j in range(r + 1, len(v)) if v[j] < v[r])
+    v[r], v[s] = v[s], v[r]
     total: dict[Partition, int] = {}
-    for u in children:
-        for mu, c in _transition(u):
-            total[mu] = total.get(mu, 0) + c
+    low = 0  # the largest v(k) < v(r) met so far, for i < k < r
+    for i in range(r - 1, -1, -1):
+        if low < v[i] < v[r]:
+            u = v[:]
+            u[i], u[r] = u[r], u[i]
+            for mu, c in _transition(_normalized(u)):
+                total[mu] = total.get(mu, 0) + c
+            low = v[i]
     return tuple(total.items())
 
 
@@ -290,9 +285,9 @@ def stanley(w: Permutation) -> SchurExpansion:
 
     Transition: let r be the last descent of w, s the last j > r with
     w(j) < w(r), and v = w t_rs.  Then F_w is the sum of F_{v t_ir} over the
-    i < r with v(i) < v(r) such that no v(k), i < k < r, lies between them;
-    if there is no such i, the same step runs on 1 x w, which has one.  A
-    vexillary w, whose inversion diagram rows form a chain, is a leaf,
+    i < r with v(i) < v(r) such that no v(k), i < k < r, lies between them.
+    One step runs on 1 x w, whose leading 1 is such an i just when w has none.
+    A vexillary w, whose inversion diagram rows form a chain, is a leaf,
     F_w = s_lambda(w) with lambda(w) the row sizes.  Results are memoized per
     permutation with leading and trailing fixed points dropped.
 

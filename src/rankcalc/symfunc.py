@@ -5,8 +5,8 @@ partitions; zero coefficients are never stored and iteration follows the
 fixed partition order, so printing is deterministic.  Basis conversion goes
 through Kostka rows built by horizontal strips, and monomial_to_schur
 inverts that unitriangular system by eliminating dominance-maximal terms.
-Products read the LR walk of partitions; skew Schur functions come from
-perms.stanley.
+Products read the LR walk of partitions; skew Schur functions read the
+transition kernel of perms.
 
 Text form: "1*s[2,2] + 1*s[3,1] - 1*s[4]" (letter 'm' for the monomial
 basis); the zero expansion renders as "0".
@@ -265,20 +265,19 @@ def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
     >>> skew_schur((2, 1), (1,)).text()
     '1*s[1,1] + 1*s[2]'
     """
-    from .perms import stanley  # perms imports this module
+    from .perms import _normalized, _transition  # perms imports this module
 
     if partition(outer) != outer:
         raise ValueError(f"not a partition: {outer}")
     if not contains(outer, inner := partition(inner)):
         return SchurExpansion()
-    if not outer:  # stanley takes no permutation of S_0
-        return SchurExpansion.one()
-    k, m = len(outer), len(outer) + outer[0]
+    k, m = len(outer), len(outer) + sum(outer[:1])
     def grassmannian(lam: Partition) -> list[int]:
         top = [i + p for i, p in enumerate(reversed(lam + (0,) * (k - len(lam))), 1)]
         return top + sorted(set(range(1, m + 1)).difference(top))
     v, u = grassmannian(outer), grassmannian(inner)
-    return stanley([v[i] for i in sorted(range(m), key=u.__getitem__)])
+    w = [v[i] for i in sorted(range(m), key=u.__getitem__)]
+    return SchurExpansion._trusted(dict(_transition(_normalized(w))))
 
 
 _TERM_RE = re.compile(r"^(\d+)\*([a-z])\[([^\[\]]*)\]$")

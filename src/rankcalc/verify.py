@@ -362,14 +362,10 @@ def _suite_pieri_degree(n: int):
                 yield x != want * point or class_degree(x) != want
 
 
-def _suite_rothe_inversions(n: int):
+def _suite_rothe_degeneration(n: int):
+    """Per w in S_n: its inversion diagram's size, and its staircase degeneration."""
     for w in _permutations(n):
-        yield len(diagram_of_permutation(w).cells) != inversions(w)
-
-
-def _suite_degeneration(n: int):
-    for w in _permutations(n):
-        yield not degeneration_check(w)
+        yield len(diagram_of_permutation(w).cells) != inversions(w), not degeneration_check(w)
 
 
 def _box_diagrams(rows: int, cols: int, size: int):
@@ -470,8 +466,11 @@ _SUITES = (
     ("rankset/permutation-rank-set-identity", _suite_mw_identity, 4),
     ("grassmann/phi-ring-map", _suite_phi_ring_map, 5),
     ("grassmann/pieri-degree", _suite_pieri_degree, 5),
-    ("diagrams/rothe-inversions", _suite_rothe_inversions, 6),
-    ("diagrams/degeneration", _suite_degeneration, 6),
+    (
+        ("diagrams/rothe-inversions", "diagrams/degeneration"),
+        _suite_rothe_degeneration,
+        6,
+    ),
     ("diagrams/james-peel-monotonicity", _suite_james_peel, 4),
     ("diagrams/specht-oracle-agreement", _suite_specht_oracle, 4),
     ("diagrams/box-duality", _suite_box_duality, 4),

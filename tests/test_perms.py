@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from rankcalc import perms
 from rankcalc.errors import ParseError
 from rankcalc.partitions import all_partitions
@@ -312,16 +313,24 @@ def test_stanley_leaves_and_branches():
 
 
 def leaf_mismatches(n):
-    """One transition step on every w in S_n, with the children stubbed
-    out: the number of leaves, and the w whose leaf verdict or shape
-    differs from the conjugate-shape test and the sorted Lehmer code."""
-    step = perms._transition.__wrapped__
+    """One transition step on every w in S_n, with each child standing for
+    itself: the number of leaves, and the w whose leaf verdict or shape
+    differs from the conjugate-shape test and the sorted Lehmer code, or
+    whose children differ from those of the retry step.  A child sums to
+    more than l(w), so it never reads as the leaf."""
+    step, retry = perms._transition.__wrapped__, oracles.transition_with_retry.__wrapped__
     leaves, bad = 0, []
-    with mock.patch.object(perms, "_transition", lambda u: ()):
+    stub = lambda u: ((u, 1),)
+    with mock.patch.object(perms, "_transition", stub), \
+            mock.patch.object(oracles, "transition_with_retry", stub):
         for w in iter_permutations(range(1, n + 1)):
-            want = ((shape_by_code(w), 1),) if vexillary_by_conjugate(w) else ()
-            leaves += bool(want)
-            if step(w) != want:
+            got, leaf = step(w), ((shape_by_code(w), 1),)
+            if vexillary_by_conjugate(w):
+                leaves += 1
+                right = got == leaf
+            else:
+                right = got != leaf and got == retry(w)
+            if not right:
                 bad.append(w)
     return leaves, bad
 
@@ -332,6 +341,25 @@ def test_leaf_test_reads_the_rothe_rows_as_a_chain():
     for n in range(1, 9):
         leaves, bad = leaf_mismatches(n)
         assert (leaves, bad[:5]) == (counts[n], []), n
+
+
+def test_stanley_matches_the_retry_transition():
+    # one step on 1 x w against the step that retried on 1 x w when w gave no
+    # child: every permutation of S_1..S_7, and seeded ones of S_12..S_14
+    # with 16 inversions, drawn by a walk of adjacent swaps that each add one
+    cases = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
+    rng = Random(2003)
+    for n in (12, 13, 14):
+        for _ in range(40):
+            w = list(range(1, n + 1))
+            for _ in range(16):
+                i = rng.choice([i for i in range(n - 1) if w[i] < w[i + 1]])
+                w[i], w[i + 1] = w[i + 1], w[i]
+            cases.append(tuple(w))
+    assert len(cases) == 5913 + 120
+    for w in cases:
+        want = oracles.transition_with_retry(perms._normalized(w))
+        assert stanley(w).terms() == dict(want), w
 
 
 def test_stanley_agrees_with_embedded_oracle_small():

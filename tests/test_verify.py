@@ -6,7 +6,8 @@ import pytest
 
 import rankcalc
 from oracles import CUMULATIVE_SUITES
-from rankcalc import verify
+from rankcalc import diagrams, verify
+from rankcalc.diagrams import diagram, diagram_of_permutation
 from rankcalc.errors import TooLarge
 from rankcalc.grassmann import phi, schubert_class
 from rankcalc.perms import stanley
@@ -231,6 +232,43 @@ def test_stanley_schur_positive_suite_can_fail(monkeypatch):
     }
 
 
+def test_rothe_inversions_suite_can_fail(monkeypatch):
+    # an inversion diagram that loses a cell is one cell short of l(w) for
+    # every w but the six identities of S_1..S_6
+    def short(w):
+        return diagram(sorted(diagram_of_permutation(w).cells)[1:])
+
+    rankcalc.clear_caches()
+    monkeypatch.setattr(verify, "diagram_of_permutation", short)
+    assert _run_entry("diagrams/rothe-inversions", 6) == {
+        "diagrams/rothe-inversions": "867 violations in 873 cases",
+        "diagrams/degeneration": "0 violations in 873 cases",
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("diagrams/rothe-inversions", 6) == {
+        "diagrams/rothe-inversions": "0 violations in 873 cases",
+        "diagrams/degeneration": "0 violations in 873 cases",
+    }
+
+
+def test_degeneration_suite_can_fail(monkeypatch):
+    # with no column transfer the staircase pattern stays as it is, and only
+    # w0, the longest permutation of each S_1..S_6, passes the structure test
+    rankcalc.clear_caches()
+    monkeypatch.setattr(diagrams, "_transfer", lambda rows, i, j: None)
+    assert _run_entry("diagrams/degeneration", 6) == {
+        "diagrams/rothe-inversions": "0 violations in 873 cases",
+        "diagrams/degeneration": "867 violations in 873 cases",
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("diagrams/degeneration", 6) == {
+        "diagrams/rothe-inversions": "0 violations in 873 cases",
+        "diagrams/degeneration": "0 violations in 873 cases",
+    }
+
+
 def test_run_all_sums_each_report_of_a_shared_walk(monkeypatch):
     # the stubs yield the cases of one slice: slice 0 for single, and
     # slice n the n-th case for shared
@@ -269,9 +307,11 @@ def test_run_all_counts_each_repeat_of_a_verdict(monkeypatch):
 
 
 def test_diagram_suites_at_scale_7():
-    # degeneration caps its scale at 6: every permutation of up to 6 letters
+    # rothe-inversions and degeneration share one walk, capped at scale 6:
+    # every permutation of up to 6 letters
     assert _run_entry("diagrams/degeneration", 7) == {
-        "diagrams/degeneration": "0 violations in 873 cases"
+        "diagrams/rothe-inversions": "0 violations in 873 cases",
+        "diagrams/degeneration": "0 violations in 873 cases",
     }
     # the Specht suites cap their diagrams at 4 cells, so at scale 7 they
     # keep the case counts of run_all(4), however much the oracle's memo
