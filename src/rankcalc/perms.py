@@ -28,7 +28,7 @@ from itertools import combinations
 from operator import index
 
 from .errors import ParseError
-from .partitions import Partition, box_partitions, partition
+from .partitions import Partition, box_partitions
 from .symfunc import MonomialExpansion, SchurExpansion
 
 Permutation = tuple[int, ...]
@@ -253,30 +253,42 @@ def _rothe_rows(w: Permutation) -> list[int]:
 def _normalized(w) -> Permutation:
     """w less its leading fixed points (the rest shifted down) and trailing
     ones; F_w does not change."""
-    moved = [i for i, x in enumerate(w) if x != i + 1]
-    return tuple(x - moved[0] for x in w[moved[0]:moved[-1] + 1]) if moved else ()
+    lo, hi = 0, len(w)
+    while lo < hi and w[lo] == lo + 1:
+        lo += 1
+    while hi > lo and w[hi - 1] == hi:
+        hi -= 1
+    return tuple(x - lo for x in w[lo:hi])
 
 
 @lru_cache(maxsize=None)
 def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
     """Schur terms of F_w for a normalized w (see stanley)."""
-    rows = sorted(_rothe_rows(w), key=int.bit_count, reverse=True)
+    rows = _rothe_rows(w)
+    chain = sorted(filter(None, rows), key=int.bit_count, reverse=True)
     # w avoids 2143 exactly when its rows, sorted by size, form a chain
-    if all(a & b == b for a, b in zip(rows, rows[1:])):
-        return ((partition(map(int.bit_count, rows)), 1),)
+    if all(a & b == b for a, b in zip(chain, chain[1:])):
+        return ((tuple(map(int.bit_count, chain)), 1),)
     v = [1] + [x + 1 for x in w]  # 1 x w, whose 1 is met last (see stanley)
-    r = max(i for i in range(len(w)) if v[i] > v[i + 1])
-    s = max(j for j in range(r + 1, len(v)) if v[j] < v[r])
+    r = len(w)  # v rises past r, so row r of v (r - 1 of w) holds v(r + 1..s)
+    while not rows[r - 1]:
+        r -= 1
+    s = r + rows[r - 1].bit_count()
     v[r], v[s] = v[s], v[r]
-    total: dict[Partition, int] = {}
+    kids = []
     low = 0  # the largest v(k) < v(r) met so far, for i < k < r
     for i in range(r - 1, -1, -1):
         if low < v[i] < v[r]:
-            u = v[:]
-            u[i], u[r] = u[r], u[i]
-            for mu, c in _transition(_normalized(u)):
-                total[mu] = total.get(mu, 0) + c
+            v[i], v[r] = v[r], v[i]
+            kids.append(_transition(_normalized(v)))
+            v[i], v[r] = v[r], v[i]
             low = v[i]
+    if len(kids) == 1:
+        return kids[0]  # shared with the child, not copied
+    total = dict(kids[0])
+    for kid in kids[1:]:
+        for mu, c in kid:
+            total[mu] = total.get(mu, 0) + c
     return tuple(total.items())
 
 
@@ -287,9 +299,11 @@ def stanley(w: Permutation) -> SchurExpansion:
     w(j) < w(r), and v = w t_rs.  Then F_w is the sum of F_{v t_ir} over the
     i < r with v(i) < v(r) such that no v(k), i < k < r, lies between them.
     One step runs on 1 x w, whose leading 1 is such an i just when w has none.
-    A vexillary w, whose inversion diagram rows form a chain, is a leaf,
+    r and s come from the inversion diagram rows: r is the last nonempty row
+    and s - r its size.  A vexillary w, whose rows form a chain, is a leaf,
     F_w = s_lambda(w) with lambda(w) the row sizes.  Results are memoized per
-    permutation with leading and trailing fixed points dropped.
+    permutation with leading and trailing fixed points dropped, and a node
+    with one child shares that child's terms.
 
     >>> stanley((3, 2, 1)).text()
     '1*s[2,1]'

@@ -8,7 +8,10 @@ from library pieces.  ``stanley`` starts from the library's factorization
 counts: it is the route ``rankcalc.perms.stanley`` took before transition,
 kept to check transition against an unrelated algorithm.
 ``transition_with_retry`` is the transition kernel as it was when a step
-that found no child ran again on 1 x w; it reads the library's Rothe rows.
+that found no child ran again on 1 x w, and ``transition_by_merge`` as it
+was before a node with one child shared that child's terms and read r and
+s off the Rothe rows; both read the library's Rothe rows, and both drop
+fixed points with ``normalized_by_moved``, the library's earlier helper.
 ``specht_by_fractions`` starts from the library's polytabloid echelon basis
 and pairs characters in ``Fraction`` arithmetic, the route
 ``rankcalc.diagrams.specht_bruteforce`` took before its integer pairing.
@@ -80,7 +83,6 @@ from rankcalc.partitions import (
 )
 from rankcalc.perms import (
     AffinePermutation,
-    _normalized,
     _rothe_rows,
     affine_stanley,
     direct_sum,
@@ -362,6 +364,39 @@ def stanley(w):
     return out
 
 
+def normalized_by_moved(w):
+    """w less its leading fixed points (the rest shifted down) and trailing
+    ones; F_w does not change."""
+    moved = [i for i, x in enumerate(w) if x != i + 1]
+    return tuple(x - moved[0] for x in w[moved[0]:moved[-1] + 1]) if moved else ()
+
+
+@lru_cache(maxsize=None)
+def transition_by_merge(w):
+    """Schur terms of F_w for a normalized w, the route rankcalc took before
+    a node with one child shared that child's terms: every node merges its
+    children's terms into a fresh dict, r and s come from scans of 1 x w,
+    and each child is a copy.  It keeps a memo of its own."""
+    rows = sorted(_rothe_rows(w), key=int.bit_count, reverse=True)
+    # w avoids 2143 exactly when its rows, sorted by size, form a chain
+    if all(a & b == b for a, b in zip(rows, rows[1:])):
+        return ((partition(map(int.bit_count, rows)), 1),)
+    v = [1] + [x + 1 for x in w]  # 1 x w, whose 1 is met last (see stanley)
+    r = max(i for i in range(len(w)) if v[i] > v[i + 1])
+    s = max(j for j in range(r + 1, len(v)) if v[j] < v[r])
+    v[r], v[s] = v[s], v[r]
+    total = {}
+    low = 0  # the largest v(k) < v(r) met so far, for i < k < r
+    for i in range(r - 1, -1, -1):
+        if low < v[i] < v[r]:
+            u = v[:]
+            u[i], u[r] = u[r], u[i]
+            for mu, c in transition_by_merge(normalized_by_moved(u)):
+                total[mu] = total.get(mu, 0) + c
+            low = v[i]
+    return tuple(total.items())
+
+
 @lru_cache(maxsize=None)
 def transition_with_retry(w):
     """Schur terms of F_w for a normalized w, the route rankcalc took before
@@ -382,7 +417,7 @@ def transition_with_retry(w):
             if low < v[i] < v[r]:
                 u = v[:]
                 u[i], u[r] = u[r], u[i]
-                children.append(_normalized(u))
+                children.append(normalized_by_moved(u))
                 low = v[i]
         w = (1,) + tuple(x + 1 for x in w)  # 1 x w, used if there is no child
     total = {}

@@ -343,23 +343,60 @@ def test_leaf_test_reads_the_rothe_rows_as_a_chain():
         assert (leaves, bad[:5]) == (counts[n], []), n
 
 
+def walked_permutations(seed, sizes, length, each):
+    """each permutations of every size in sizes with length inversions,
+    drawn by a walk of adjacent swaps that each add one."""
+    rng, out = Random(seed), []
+    for n in sizes:
+        for _ in range(each):
+            w = list(range(1, n + 1))
+            for _ in range(length):
+                i = rng.choice([i for i in range(n - 1) if w[i] < w[i + 1]])
+                w[i], w[i + 1] = w[i + 1], w[i]
+            out.append(tuple(w))
+    return out
+
+
 def test_stanley_matches_the_retry_transition():
     # one step on 1 x w against the step that retried on 1 x w when w gave no
     # child: every permutation of S_1..S_7, and seeded ones of S_12..S_14
-    # with 16 inversions, drawn by a walk of adjacent swaps that each add one
+    # with 16 inversions
     cases = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
-    rng = Random(2003)
-    for n in (12, 13, 14):
-        for _ in range(40):
-            w = list(range(1, n + 1))
-            for _ in range(16):
-                i = rng.choice([i for i in range(n - 1) if w[i] < w[i + 1]])
-                w[i], w[i + 1] = w[i + 1], w[i]
-            cases.append(tuple(w))
+    cases += walked_permutations(2003, (12, 13, 14), 16, 40)
     assert len(cases) == 5913 + 120
     for w in cases:
-        want = oracles.transition_with_retry(perms._normalized(w))
+        want = oracles.transition_with_retry(oracles.normalized_by_moved(w))
         assert stanley(w).terms() == dict(want), w
+
+
+def test_stanley_matches_the_merge_transition():
+    # the step that shares a lone child's terms and reads r and s off the
+    # Rothe rows, against the step that merged every node into a fresh dict:
+    # every permutation of S_1..S_7, and seeded ones of S_12..S_16 with 18
+    # inversions
+    cases = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
+    cases += walked_permutations(1982, (12, 13, 14, 15, 16), 18, 16)
+    assert len(cases) == 5913 + 80
+    for w in cases:
+        want = oracles.transition_by_merge(oracles.normalized_by_moved(w))
+        assert stanley(w).terms() == dict(want), w
+
+
+def test_a_step_with_one_child_shares_its_terms():
+    # a node with one child returns that child's memoized terms, not a copy,
+    # so a chain of such nodes holds one expansion, not one per node
+    step, shared = perms._transition.__wrapped__, 0
+    for n in range(1, 7):
+        for w in iter_permutations(range(1, n + 1)):
+            if w != oracles.normalized_by_moved(w) or vexillary_by_conjugate(w):
+                continue
+            kids = []
+            with mock.patch.object(perms, "_transition", lambda u: kids.append(u) or ((u, 1),)):
+                step(w)
+            if len(kids) == 1:
+                shared += 1
+                assert perms._transition(w) is perms._transition(kids[0]), w
+    assert shared == 61  # of the 190 normalized non-leaves
 
 
 def test_stanley_agrees_with_embedded_oracle_small():
