@@ -14,7 +14,6 @@ partition renders as "-".
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
@@ -189,7 +188,7 @@ def _lr_walk(
     # is bounded by its own size
     states = {(mu, (sum(nu[:1]),)): 1} if fits(mu, rows, cols) else {}
     for size in nu:
-        after: Counter[tuple[Partition, tuple[int, ...]]] = Counter()
+        after: dict[tuple[Partition, tuple[int, ...]], int] = {}
         for (shape, limit), mult in states.items():
             strips = [(0, ())]  # (cells held, (row, cells) of each row used)
             # only rows with room: row 0 up to cols, row r up to old row r - 1
@@ -207,12 +206,12 @@ def _lr_walk(
                     for r, c in cells:
                         grown[r] += c
                         steps[r + 1] = c
-                    grown = grown if grown[-1] else grown[:-1]
-                    after[tuple(grown), tuple(accumulate(steps))] += mult
+                    key = tuple(grown if grown[-1] else grown[:-1]), tuple(accumulate(steps))
+                    after[key] = after.get(key, 0) + mult
         states = after
-    out: Counter[Partition] = Counter()
+    out: dict[Partition, int] = {}
     for (shape, _), mult in states.items():
-        out[shape] += mult
+        out[shape] = out.get(shape, 0) + mult
     return tuple(out.items())
 
 

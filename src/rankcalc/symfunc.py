@@ -5,8 +5,9 @@ partitions; zero coefficients are never stored and iteration follows the
 fixed partition order, so printing is deterministic.  Basis conversion goes
 through Kostka rows built by horizontal strips, and monomial_to_schur
 inverts that unitriangular system by eliminating dominance-maximal terms.
-Products read the LR walk of partitions; skew Schur functions read the
-transition kernel of perms.
+Products read the LR walk of partitions, each pair of terms in the
+cheapest of its four readings; skew Schur functions read the transition
+kernel of perms.
 
 Text form: "1*s[2,2] + 1*s[3,1] - 1*s[4]" (letter 'm' for the monomial
 basis); the zero expansion renders as "0".
@@ -17,13 +18,14 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from itertools import product
-from operator import index
+from itertools import count, product
+from operator import index, mul
 
 from .errors import NotHomogeneous, ParseError
 from .partitions import (
     Partition,
     _lr_walk,
+    conjugate,
     contains,
     partition,
     partition_text,
@@ -241,7 +243,12 @@ def schur_product(
     """Product via the Littlewood-Richardson rule, extended bilinearly: one
     walk per pair of terms, each read as a Schur function, inside
     ``box=(rows, cols)`` if given, else in the l(mu) + l(nu) rows of
-    mu_1 + nu_1 columns outside which c^lam_{mu nu} vanishes.
+    mu_1 + nu_1 columns outside which c^lam_{mu nu} vanishes.  As
+    c^lam_{mu nu} = c^lam_{nu mu} = c^lam'_{mu' nu'}, each pair walks the
+    cheapest of four readings: it strips the factor of least n(.), n(lam) =
+    sum (i - 1) lam_i and n(lam') = sum lam_i (lam_i - 1) / 2, trying nu on
+    mu, mu on nu, nu' on mu' and mu' on nu' in that order; a conjugate
+    reading walks the transposed box and conjugates what it returns.
 
     >>> schur_product(SchurExpansion.basis((1,)), SchurExpansion.basis((1,))).text()
     '1*s[1,1] + 1*s[2]'
@@ -251,8 +258,17 @@ def schur_product(
     data: dict[Partition, int] = {}
     for mu, cm in a.items():
         for nu, cn in b.items():
-            support = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
-            for lam, c in _lr_walk(mu, nu, *(box or support)):
+            rows, cols = box or (len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1]))
+            costs = [sum(map(mul, count(), nu)), sum(map(mul, count(), mu))]
+            costs += [sum(p * (p - 1) // 2 for p in nu), sum(p * (p - 1) // 2 for p in mu)]
+            pick = costs.index(min(costs))
+            first, second = (mu, nu) if pick % 2 == 0 else (nu, mu)
+            if pick < 2:
+                walk = _lr_walk(first, second, rows, cols)
+            else:
+                walk = _lr_walk(conjugate(first), conjugate(second), cols, rows)
+                walk = [(conjugate(lam), c) for lam, c in walk]
+            for lam, c in walk:
                 data[lam] = data.get(lam, 0) + cm * cn * c
     return SchurExpansion._trusted(data)
 

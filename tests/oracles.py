@@ -25,8 +25,11 @@ with ``lr_by_ballot_tableaux``; so that route never reaches transition.
 ``rankcalc.partitions.lr_coefficient`` ran before the strip-by-strip walk,
 and ``schur_product_by_ballots`` is ``rankcalc.symfunc.schur_product`` as it
 was then, one count per partition of the clipped box; they check the walk
-from outside it.  ``stanley_by_increasing_tableaux`` is the Edelman-Greene
-count, apart from transition, factorizations and Kostka numbers alike.
+from outside it.  ``schur_product_one_reading`` is
+``rankcalc.symfunc.schur_product`` as it was before it chose among the four
+readings of the walk: it always walks nu's rows onto mu.
+``stanley_by_increasing_tableaux`` is the Edelman-Greene count, apart from
+transition, factorizations and Kostka numbers alike.
 The rank-set and complement formulas at the end are the library's earlier
 set-difference, two-pass and ``partition()`` routes, kept as differential
 references for the single-pass kernels that replaced them; the complement
@@ -71,6 +74,7 @@ from rankcalc.errors import (
 from rankcalc.grassmann import class_degree, class_product, phi, point_class, schubert_class
 from rankcalc.partitions import (
     RectangleContext,
+    _lr_walk,
     all_partitions,
     box_partitions,
     centralizer_order,
@@ -530,6 +534,20 @@ def schur_product_by_ballots(a, b, box=None):
                 rows, cols = min(rows, box[0]), min(cols, box[1])
             for lam in box_partitions(sum(mu) + sum(nu), rows, cols):
                 data[lam] = data.get(lam, 0) + cm * cn * lr_by_ballot_tableaux(lam, mu, nu)
+    return SchurExpansion(data)
+
+
+def schur_product_one_reading(a, b, box=None):
+    """The Schur product as rankcalc formed it before it chose among the
+    four readings of the LR walk: each pair of terms walks nu's rows as
+    strips onto mu, inside ``box=(rows, cols)`` if given, else in the
+    support box."""
+    data = {}
+    for mu, cm in a.items():
+        for nu, cn in b.items():
+            support = len(mu) + len(nu), sum(mu[:1]) + sum(nu[:1])
+            for lam, c in _lr_walk(mu, nu, *(box or support)):
+                data[lam] = data.get(lam, 0) + cm * cn * c
     return SchurExpansion(data)
 
 

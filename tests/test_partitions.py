@@ -26,7 +26,8 @@ from rankcalc.partitions import (
 )
 from rankcalc.perms import AffinePermutation, check_permutation
 from rankcalc.rankset import RankSet
-from rankcalc.symfunc import SchurExpansion, skew_schur
+from rankcalc import symfunc
+from rankcalc.symfunc import SchurExpansion, schur_product, skew_schur
 
 from oracles import (
     box_complement,
@@ -247,13 +248,52 @@ def lr_mismatches(max_size, routes=(walk_coefficient,)):
     return cases, bad
 
 
-def test_lr_walk_and_its_readers_match_the_ballot_oracle():
+def product_routes():
+    """c^lam_{mu nu} off schur_product(s_mu, s_nu): the whole product, one
+    per pair, and the product clipped to lam's own box."""
+    basis = SchurExpansion.basis
+    whole = lru_cache(maxsize=None)(lambda mu, nu: schur_product(basis(mu), basis(nu)))
+    return (
+        lambda lam, mu, nu: whole(mu, nu).coeff(lam),
+        lambda lam, mu, nu: schur_product(
+            basis(mu), basis(nu), box=(len(lam), sum(lam[:1]))
+        ).coeff(lam),
+    )
+
+
+def test_lr_walk_and_its_readers_match_the_ballot_oracle(monkeypatch):
     # every triple with |lam| <= 9: the walk in the support box, the public
-    # lr_coefficient (the walk in lam's box) and skew_schur, by transition
+    # lr_coefficient (the walk in lam's box), skew_schur, by transition, and
+    # schur_product whole and clipped to lam's box, whose walks between them
+    # take all four readings: nu on mu, mu on nu, nu' on mu', mu' on nu'
+    walk, calls, readings = symfunc._lr_walk, [], set()
+    monkeypatch.setattr(symfunc, "_lr_walk", lambda *args: calls.append(args) or walk(*args))
+
+    def traced(route):
+        def read(lam, mu, nu):
+            calls.clear()
+            value = route(lam, mu, nu)
+            pairs = [(mu, nu), (nu, mu), (conjugate(mu), conjugate(nu))]
+            pairs.append(pairs[2][::-1])
+            for args in calls:
+                # a walk that two readings share names neither
+                found = [i for i, pair in enumerate(pairs) if pair == args[:2]]
+                assert found, (mu, nu, args)
+                readings.update(found if len(found) == 1 else ())
+            return value
+
+        return read
+
     skew = lru_cache(maxsize=None)(skew_schur)
-    routes = (walk_coefficient, lr_coefficient, lambda lam, mu, nu: skew(lam, mu).coeff(nu))
+    routes = (
+        walk_coefficient,
+        lr_coefficient,
+        lambda lam, mu, nu: skew(lam, mu).coeff(nu),
+        *map(traced, product_routes()),
+    )
     cases, bad = lr_mismatches(9, routes)
     assert (cases, bad[:5]) == (15830, [])
+    assert readings == {0, 1, 2, 3}
 
 
 @settings(max_examples=60, deadline=None)

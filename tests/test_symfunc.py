@@ -1,8 +1,10 @@
+from itertools import product
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from rankcalc import symfunc
 from rankcalc.errors import NotHomogeneous, ParseError
 from rankcalc.partitions import all_partitions, box_partitions, sort_key
 from rankcalc.symfunc import (
@@ -21,6 +23,7 @@ from oracles import (
     kostka_by_tableaux,
     lr_by_ballot_tableaux,
     schur_product_by_ballots,
+    schur_product_one_reading,
     skew_schur_by_lr,
 )
 
@@ -78,6 +81,36 @@ def test_schur_product_matches_unboxed_lr_loop():
                 }
             )
             assert schur_product(s(*mu), s(*nu)) == want, (mu, nu)
+
+
+def test_schur_product_matches_the_one_reading_loop():
+    # every pair with |mu| + |nu| <= 10, in the support box and in every box
+    # up to 5 x 5: the cheapest of the four readings against nu's rows
+    # walked onto mu
+    parts = [lam for size in range(11) for lam in all_partitions(size)]
+    boxes = [None, *product(range(6), repeat=2)]
+    pairs = [(mu, nu) for mu in parts for nu in parts if sum(mu) + sum(nu) <= 10]
+    assert len(pairs) == 1215
+    for mu, nu in pairs:
+        a, b = s(*mu), s(*nu)
+        for box in boxes:
+            want = schur_product_one_reading(a, b, box)
+            assert schur_product(a, b, box=box) == want, (mu, nu, box)
+
+
+def test_a_product_strips_the_factor_of_least_n(monkeypatch):
+    # the two product walls: for (7,6,5,4,3,3) times (7,5,5,3,2,2,2,1,1,1),
+    # n(nu), n(mu), n(nu'), n(mu') are 78, 55, 47, 58, so it walks nu' on
+    # mu' in the transposed box; 6^6 times the staircase ties n(nu) = n(nu')
+    # = 56 below n(mu) = n(mu') = 90 and keeps the first, nu on mu
+    calls = []
+    monkeypatch.setattr(symfunc, "_lr_walk", lambda *args: calls.append(args) or ())
+    schur_product(s(7, 6, 5, 4, 3, 3), s(7, 5, 5, 3, 2, 2, 2, 1, 1, 1), box=(10, 10))
+    schur_product(s(6, 6, 6, 6, 6, 6), s(7, 6, 5, 4, 3, 2, 1), box=(12, 12))
+    assert calls == [
+        ((6, 6, 6, 4, 3, 2, 1), (10, 7, 4, 3, 3, 1, 1), 10, 10),
+        ((6, 6, 6, 6, 6, 6), (7, 6, 5, 4, 3, 2, 1), 12, 12),
+    ]
 
 
 def test_clipped_products_match_the_per_lam_ballot_product():

@@ -6,7 +6,7 @@ import pytest
 
 import rankcalc
 from oracles import CUMULATIVE_SUITES
-from rankcalc import diagrams, verify
+from rankcalc import diagrams, partitions, symfunc, verify
 from rankcalc.diagrams import diagram, diagram_of_permutation
 from rankcalc.errors import TooLarge
 from rankcalc.grassmann import phi, schubert_class
@@ -210,6 +210,29 @@ def test_lr_symmetry_suite_can_fail(monkeypatch):
     rankcalc.clear_caches()
     assert _run_entry("partitions/lr-symmetry", 4) == {
         "partitions/lr-symmetry": "0 violations in 143 cases",
+    }
+
+
+def test_product_laws_suite_can_fail(monkeypatch):
+    # the same lopsided walk, in every module that binds it: a product runs
+    # one reading for s_a s_b and s_b s_a alike, so the commutativity half
+    # holds it to the raw walk in both orders, one of which favours the
+    # larger factor wherever the two differ
+    walk = partitions._lr_walk
+
+    def lopsided(mu, nu, rows, cols):
+        return tuple((lam, c + (mu > nu)) for lam, c in walk(mu, nu, rows, cols))
+
+    rankcalc.clear_caches()
+    for module in (partitions, symfunc, verify):
+        monkeypatch.setattr(module, "_lr_walk", lopsided)
+    assert _run_entry("symfunc/product-laws", 4) == {
+        "symfunc/product-laws": "134 violations in 148 cases",
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("symfunc/product-laws", 4) == {
+        "symfunc/product-laws": "0 violations in 148 cases",
     }
 
 
