@@ -15,15 +15,18 @@ class of w_M) share one suite, which yields one count per report per case.
 Each entry of _SUITES holds its report names, its suite and its scale cap.
 Every suite walks one slice n, the cases new at scale n, and run_all sums
 slices 0..min(max_n, cap).  Each slice's tally is memoized, so no case is
-walked twice in one process.
+walked twice in one process.  When a second CPU is free, one forked helper
+walks some of the slices not yet tallied; the reports are the same either
+way.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations, product
 
 from .diagrams import (
@@ -436,7 +439,7 @@ def _suite_row_col_invariance(n: int):
         yield specht_bruteforce(shuffled) != base
 
 
-MAX_SCALE = 10  # each scale costs about 5x the last: 19 s at 10, 112 s at 11
+MAX_SCALE = 10  # each scale costs about 5x the last: 11 s at 10, 7.7 s with a helper
 
 _SUITES = (
     ("partitions/syt-hook-vs-enumeration", _suite_syt, MAX_SCALE),
@@ -478,14 +481,74 @@ _SUITES = (
 )
 
 
-@lru_cache(maxsize=256)
 def _tally(suite, width: int, n: int) -> tuple[int, tuple[int, ...]]:
     """Walk slice n of suite, streaming its verdicts into a Counter: its case
-    count and the violations of each of its width reports.  Memoized, since
-    a slice's answer depends only on these; keyed on the function object."""
+    count and the violations of each of its width reports."""
     counts = Counter(suite(n) if width > 1 else zip(suite(n)))
     bad = [sum(w[i] * times for w, times in counts.items()) for i in range(width)]
     return counts.total(), tuple(bad)
+
+
+# Slice tallies by (suite, width, n), least recently used first; run_all
+# keeps the last 256, every slice of run_all(MAX_SCALE).  clear_caches()
+# empties it through _tally.cache_clear.
+_tallies: dict = {}
+_tally.cache_clear = _tallies.clear
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tally_missing(slices: list) -> None:
+    """Memoize the tally of each of slices.  When the process can fork, runs
+    one thread, may use two CPUs and has two slices or more, it shares them
+    with one forked helper: both claim indices, largest scale first, from
+    one pipe, and the helper sends back what it finished.  The parent walks
+    every slice the helper did not report, so a suite that raises raises
+    here, once the helper is killed and reaped."""
+    import threading
+
+    if len(slices) < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or _cpus() < 2:
+        _tallies.update((key, _tally(*key)) for key in slices)
+        return
+    slices.sort(key=lambda key: -key[2])
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(len(slices))))
+    os.close(fill)
+    reply, send = os.pipe()
+    pid = os.fork()
+    if not pid:  # the helper never returns
+        done = {}
+        try:
+            while claim := os.read(queue, 2):
+                i = int.from_bytes(claim, "big")
+                done[i] = _tally(*slices[i])
+        finally:
+            try:
+                os.write(send, marshal.dumps(done))
+            finally:
+                os._exit(0)
+    os.close(send)
+    try:
+        while claim := os.read(queue, 2):
+            key = slices[int.from_bytes(claim, "big")]
+            _tallies[key] = _tally(*key)
+        data = b"".join(iter(lambda: os.read(reply, 1 << 16), b""))
+        _tallies.update((slices[i], t) for i, t in (marshal.loads(data) if data else {}).items())
+        _tallies.update((key, _tally(*key)) for key in slices if key not in _tallies)
+    except BaseException:
+        from signal import SIGKILL
+
+        os.kill(pid, SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+        os.close(queue)
+        os.close(reply)
 
 
 def run_all(max_n: int) -> list[CheckReport]:
@@ -498,22 +561,32 @@ def run_all(max_n: int) -> list[CheckReport]:
     reports sum slices 0..min(max_n, cap): the cap is MAX_SCALE, or less for
     a suite whose cost grows fast with degree or size.  Each slice's tally
     is memoized, so a case is walked once per process however the scales
-    rise or fall; clear_caches() empties the memo.  max_n = 0 runs nothing;
-    a max_n above MAX_SCALE raises TooLarge before any walk.
+    rise or fall; clear_caches() empties the memo.  When a second CPU is
+    free, one forked helper walks some of the slices not yet tallied, and
+    the reports are the same either way.  max_n = 0 runs nothing; a max_n
+    above MAX_SCALE raises TooLarge before any walk.
     """
     if max_n > MAX_SCALE:
         raise TooLarge(f"scale {max_n}; the verify suites stop at {MAX_SCALE}")
     if max_n <= 0:
         return []
+    entries = [
+        ((names,) if isinstance(names, str) else names, suite, range(min(max_n, cap) + 1))
+        for names, suite, cap in _SUITES
+    ]
+    slices = [(suite, len(names), s) for names, suite, scales in entries for s in scales]
+    _tally_missing([key for key in slices if key not in _tallies])
     reports = []
-    for names, suite, cap in _SUITES:
-        if isinstance(names, str):
-            names = (names,)
-        tallies = [_tally(suite, len(names), s) for s in range(min(max_n, cap) + 1)]
+    for names, suite, scales in entries:
+        tallies = [_tallies[suite, len(names), s] for s in scales]
         cases = sum(c for c, _ in tallies)
         bad = map(sum, zip(*(b for _, b in tallies)))
         tail = f" violations in {cases} cases"
         reports.extend(
             _report(name, f"0{tail}", f"{b}{tail}") for name, b in zip(names, bad)
         )
+    for key in slices:
+        _tallies[key] = _tallies.pop(key)
+    for key in list(_tallies)[:-256]:
+        del _tallies[key]
     return reports

@@ -272,6 +272,24 @@ def test_paper_theorem_on_every_rank_set_through_n7():
     assert [m for _, bad in results for m in bad] == []
 
 
+def test_stretching_a_stretched_rank_set_keeps_its_class_through_n7():
+    # when minimal_stretch(m) >= 1, w_of_rank_set stretches m first, so m and
+    # stretch(m) give one w and the verify suite's stretch check holds by
+    # construction; on the rank sets already stretched the two w differ, and
+    # only the theorem makes their classes in Gr(k, n) agree
+    cases = 0
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for m in all_rank_sets(k, n):
+                if minimal_stretch(m):
+                    continue
+                cases += 1
+                w, stretched_w = w_of_rank_set(m), w_of_rank_set(stretch(m))
+                assert w != stretched_w, m
+                assert phi(stanley(w), k, n) == phi(stanley(stretched_w), k, n), m
+    assert cases == 216
+
+
 def test_rank_set_of_permutation():
     m = rank_set_of_permutation((2, 4, 1, 5, 3))
     assert m.intervals == ((2, 6), (4, 7), (1, 8), (5, 9), (3, 10))

@@ -1,4 +1,7 @@
+import os
 import pkgutil
+import threading
+import time
 from dataclasses import asdict
 from importlib import import_module
 
@@ -150,8 +153,9 @@ def test_sliced_suites_sum_to_the_cumulative_walks():
         name = names if isinstance(names, str) else names[0]
         width = 1 if isinstance(names, str) else len(names)
         oracle = CUMULATIVE_SUITES[name]
+        slices = [_tally(suite, width, s) for s in range(min(7, cap) + 1)]
         for scale in range(min(7, cap) + 1):
-            tallies = [_tally(suite, width, s) for s in range(scale + 1)]
+            tallies = slices[: scale + 1]
             got = (
                 sum(c for c, _ in tallies),
                 tuple(map(sum, zip(*(b for _, b in tallies)))),
@@ -350,13 +354,15 @@ def test_diagram_suites_at_scale_7():
 
 
 def test_run_all_walks_a_capped_suite_once_per_scale(monkeypatch):
-    # a capped suite walks slices 0..cap once, whatever scale asks past it
+    # a capped suite walks slices 0..cap once, whatever scale asks past it;
+    # with one CPU no helper walks a slice out of this process's sight
     walks = []
 
     def stub(n):
         walks.append(n)
         return iter([False] * n)
 
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
     monkeypatch.setattr(verify, "_SUITES", (("stub", stub, 2),))
     for max_n in (2, 3, 5):
         assert [r.actual for r in run_all(max_n)] == ["0 violations in 3 cases"]
@@ -375,6 +381,7 @@ def test_run_all_walks_each_slice_once(monkeypatch):
         walks.append(n)
         return iter([False] * n)
 
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
     monkeypatch.setattr(verify, "_SUITES", (("stub", stub, MAX_SCALE),))
     for max_n, cases in ((2, 3), (3, 6), (5, 15)):
         assert [r.actual for r in run_all(max_n)] == [f"0 violations in {cases} cases"]
@@ -386,23 +393,142 @@ def test_run_all_walks_each_slice_once(monkeypatch):
     assert walks == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
 
 
+def _stub_suites(entries):
+    """_SUITES with each entry's suite replaced by one that yields nothing and
+    records the slices it walks, and the list of those slices."""
+    walks = []
+    return walks, tuple(
+        (names, lambda n: walks.append(n) or iter(()), cap) for names, _, cap in entries
+    )
+
+
 def test_tally_memo_holds_every_slice_up_to_the_bound(monkeypatch):
     # run_all(MAX_SCALE) tallies one slice per scale 0..cap of each entry;
     # the memo must hold them all, or a rising verify stream re-walks some
-    monkeypatch.setattr(
-        verify,
-        "_SUITES",
-        tuple((names, lambda n: iter(()), cap) for names, _, cap in verify._SUITES),
-    )
+    walks, suites = _stub_suites(verify._SUITES)
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "_SUITES", suites)
     rankcalc.clear_caches()
     run_all(MAX_SCALE)
     slices = sum(min(MAX_SCALE, cap) + 1 for _, _, cap in verify._SUITES)
-    assert _tally.cache_info().currsize == slices
+    assert len(verify._tallies) == len(walks) == slices
     run_all(MAX_SCALE)
-    info = _tally.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (slices, slices, slices)
-    assert slices <= info.maxsize
+    assert len(verify._tallies) == len(walks) == slices
+    # past its bound of 256 slices the memo drops the least recently used
+    walks, suites = _stub_suites([("stub", None, MAX_SCALE)] * 30)
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    run_all(MAX_SCALE)
+    assert len(verify._tallies) == 256 and len(walks) == 330
     rankcalc.clear_caches()
+
+
+def _reports(max_ns, cpus):
+    """The reports of run_all at each of max_ns in turn, from an empty tally
+    memo, where run_all sees cpus CPUs."""
+    verify._tallies.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_cpus", lambda: cpus)
+        return [run_all(max_n) for max_n in max_ns]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_reports_are_the_same_with_the_helper_and_without(monkeypatch):
+    # each slice's tally crosses the helper's pipe intact: a rising run of
+    # scales 1..7, and the falling and repeated scales of one process
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for max_ns in (range(1, 8), (5, 6, 7, 8, 4, 2, 1)):
+        alone = _reports(max_ns, 1)
+        assert not forks
+        assert _reports(max_ns, 2) == alone, max_ns
+        assert forks
+        forks.clear()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_suite_that_raises_leaves_no_helper(monkeypatch):
+    # the parent walks every slice the helper did not report, so a slice
+    # that raises raises in the parent, whichever process claimed it, and
+    # the helper is reaped before it propagates
+    def stub(n):
+        if n == 3:
+            raise ZeroDivisionError(n)
+        return iter([False] * n)
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, MAX_SCALE),))
+    rankcalc.clear_caches()
+    for _ in range(5):
+        with pytest.raises(ZeroDivisionError):
+            run_all(6)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    rankcalc.clear_caches()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_raise_in_the_parent_kills_the_helper(monkeypatch):
+    # the helper is killed, not waited for through the slice it walks
+    parent = os.getpid()
+
+    def stub(n):
+        if os.getpid() != parent:
+            time.sleep(40)
+        raise ZeroDivisionError(n)
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, MAX_SCALE),))
+    rankcalc.clear_caches()
+    start = time.monotonic()
+    with pytest.raises(ZeroDivisionError):
+        run_all(6)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    rankcalc.clear_caches()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_slice_the_helper_drops_is_walked_by_the_parent(monkeypatch):
+    # a slice that raises in the helper alone is walked again here
+    parent = os.getpid()
+
+    def stub(n):
+        if os.getpid() != parent:
+            raise ZeroDivisionError(n)
+        return iter([n % 2] * n)
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_SUITES", (("stub", stub, MAX_SCALE),))
+    rankcalc.clear_caches()
+    assert [r.actual for r in run_all(6)] == ["9 violations in 21 cases"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    rankcalc.clear_caches()
+
+
+def test_no_helper_with_one_cpu_or_a_second_thread(monkeypatch):
+    # one CPU, or a thread alive beside this one, keeps every walk here
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    monkeypatch.setattr(verify, "_SUITES", (("stub", lambda n: iter([False] * n), 3),))
+    rankcalc.clear_caches()
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if cpus == 2:
+            thread.start()
+        try:
+            assert [r.actual for r in run_all(3)] == ["0 violations in 6 cases"]
+        finally:
+            stop.set()
+            if cpus == 2:
+                thread.join()
+        rankcalc.clear_caches()
 
 
 def test_memoized_run_all_matches_a_fresh_one():
@@ -435,17 +561,21 @@ def _memo_tables():
     return tables
 
 
-def test_clear_caches_empties_every_table():
+def test_clear_caches_empties_every_table(monkeypatch):
     tables = _memo_tables()
     oracle = tables["rankcalc.diagrams._polytabloid_expansion"]
     walk = tables["rankcalc.partitions._lr_walk"]
-    # a memo hit left by an earlier run_all would skip the Specht suites
+    # a memo hit left by an earlier run_all would skip the Specht suites,
+    # and a helper could walk them out of this process's sight
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
     rankcalc.clear_caches()
     run_all(3)
     assert oracle.cache_info().currsize and walk.cache_info().currsize
+    assert verify._tallies
     rankcalc.clear_caches()
     sizes = {name: table.cache_info().currsize for name, table in tables.items()}
     assert sizes == dict.fromkeys(tables, 0)
+    assert verify._tallies == {}
 
 
 def test_report_serialization():
