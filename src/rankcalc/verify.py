@@ -14,10 +14,10 @@ that share a family and its costly intermediates (a rank set's window, the
 class of w_M) share one suite, which yields one count per report per case.
 Each entry of _SUITES holds its report names, its suite and its scale cap.
 Every suite walks one slice n, the cases new at scale n, and run_all sums
-slices 0..min(max_n, cap).  Each slice's tally is memoized, so no case is
-walked twice in one process.  When a second CPU is free, one forked helper
-walks some of the slices not yet tallied; the reports are the same either
-way.
+slices 0..min(max_n, cap).  An append-only memo holds each slice's tally, at
+most the slices of run_all(MAX_SCALE), so no case is walked twice in one
+process and concurrent calls are safe.  When a second CPU is free, a forked
+helper walks some slices not yet tallied; the reports are the same either way.
 """
 
 from __future__ import annotations
@@ -489,9 +489,8 @@ def _tally(suite, width: int, n: int) -> tuple[int, tuple[int, ...]]:
     return counts.total(), tuple(bad)
 
 
-# Slice tallies by (suite, width, n), least recently used first; run_all
-# keeps the last 256, every slice of run_all(MAX_SCALE).  clear_caches()
-# empties it through _tally.cache_clear.
+# Slice tallies by (suite, width, n), append-only: at most one per slice of
+# run_all(MAX_SCALE).  clear_caches() empties it through _tally.cache_clear.
 _tallies: dict = {}
 _tally.cache_clear = _tallies.clear
 
@@ -503,52 +502,53 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _tally_missing(slices: list) -> None:
-    """Memoize the tally of each of slices.  When the process can fork, runs
-    one thread, may use two CPUs and has two slices or more, it shares them
-    with one forked helper: both claim indices, largest scale first, from
-    one pipe, and the helper sends back what it finished.  The parent walks
-    every slice the helper did not report, so a suite that raises raises
-    here, once the helper is killed and reaped."""
+def _tally_missing(slices: list) -> dict:
+    """Memoize and return the tally of each of slices.  When the process can
+    fork, runs one thread, may use two CPUs and has two slices or more, it
+    shares them with one forked helper: both claim indices, largest scale
+    first, from one pipe, and the helper sends back what it finished.  Then
+    every slice not yet tallied is walked here, so a suite that raises
+    raises here, after any helper is killed and reaped."""
     import threading
 
-    if len(slices) < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or _cpus() < 2:
-        _tallies.update((key, _tally(*key)) for key in slices)
-        return
-    slices.sort(key=lambda key: -key[2])
-    queue, fill = os.pipe()
-    os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(len(slices))))
-    os.close(fill)
-    reply, send = os.pipe()
-    pid = os.fork()
-    if not pid:  # the helper never returns
-        done = {}
+    tallies = {}
+    if len(slices) > 1 and hasattr(os, "fork") and threading.active_count() == 1 and _cpus() > 1:
+        slices.sort(key=lambda key: -key[2])
+        queue, fill = os.pipe()
+        os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(len(slices))))
+        os.close(fill)
+        reply, send = os.pipe()
+        pid = os.fork()
+        if not pid:  # the helper never returns
+            done = {}
+            try:
+                while claim := os.read(queue, 2):
+                    i = int.from_bytes(claim, "big")
+                    done[i] = _tally(*slices[i])
+            finally:
+                try:
+                    os.write(send, marshal.dumps(done))
+                finally:
+                    os._exit(0)
+        os.close(send)
         try:
             while claim := os.read(queue, 2):
-                i = int.from_bytes(claim, "big")
-                done[i] = _tally(*slices[i])
-        finally:
-            try:
-                os.write(send, marshal.dumps(done))
-            finally:
-                os._exit(0)
-    os.close(send)
-    try:
-        while claim := os.read(queue, 2):
-            key = slices[int.from_bytes(claim, "big")]
-            _tallies[key] = _tally(*key)
-        data = b"".join(iter(lambda: os.read(reply, 1 << 16), b""))
-        _tallies.update((slices[i], t) for i, t in (marshal.loads(data) if data else {}).items())
-        _tallies.update((key, _tally(*key)) for key in slices if key not in _tallies)
-    except BaseException:
-        from signal import SIGKILL
+                key = slices[int.from_bytes(claim, "big")]
+                tallies[key] = _tally(*key)
+            data = b"".join(iter(lambda: os.read(reply, 1 << 16), b""))
+            tallies.update((slices[i], t) for i, t in (marshal.loads(data) if data else {}).items())
+        except BaseException:
+            from signal import SIGKILL
 
-        os.kill(pid, SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-        os.close(queue)
-        os.close(reply)
+            os.kill(pid, SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+            os.close(queue)
+            os.close(reply)
+    tallies.update((key, _tally(*key)) for key in slices if key not in tallies)
+    _tallies.update(tallies)
+    return tallies
 
 
 def run_all(max_n: int) -> list[CheckReport]:
@@ -561,10 +561,12 @@ def run_all(max_n: int) -> list[CheckReport]:
     reports sum slices 0..min(max_n, cap): the cap is MAX_SCALE, or less for
     a suite whose cost grows fast with degree or size.  Each slice's tally
     is memoized, so a case is walked once per process however the scales
-    rise or fall; clear_caches() empties the memo.  When a second CPU is
-    free, one forked helper walks some of the slices not yet tallied, and
-    the reports are the same either way.  max_n = 0 runs nothing; a max_n
-    above MAX_SCALE raises TooLarge before any walk.
+    rise or fall; the memo is append-only, holds at most the slices of
+    run_all(MAX_SCALE) and is emptied by clear_caches().  The reports come
+    from this call's own tallies, so concurrent calls are safe.  When a
+    second CPU is free, a forked helper walks some slices not yet tallied,
+    with the same reports.  max_n = 0 runs nothing; a max_n above MAX_SCALE
+    raises TooLarge before any walk.
     """
     if max_n > MAX_SCALE:
         raise TooLarge(f"scale {max_n}; the verify suites stop at {MAX_SCALE}")
@@ -574,19 +576,16 @@ def run_all(max_n: int) -> list[CheckReport]:
         ((names,) if isinstance(names, str) else names, suite, range(min(max_n, cap) + 1))
         for names, suite, cap in _SUITES
     ]
-    slices = [(suite, len(names), s) for names, suite, scales in entries for s in scales]
-    _tally_missing([key for key in slices if key not in _tallies])
+    keys = [(suite, len(names), s) for names, suite, scales in entries for s in scales]
+    tallies = {key: _tallies.get(key) for key in keys}
+    tallies.update(_tally_missing([key for key, t in tallies.items() if t is None]))
     reports = []
     for names, suite, scales in entries:
-        tallies = [_tallies[suite, len(names), s] for s in scales]
-        cases = sum(c for c, _ in tallies)
-        bad = map(sum, zip(*(b for _, b in tallies)))
+        slices = [tallies[suite, len(names), s] for s in scales]
+        cases = sum(c for c, _ in slices)
+        bad = map(sum, zip(*(b for _, b in slices)))
         tail = f" violations in {cases} cases"
         reports.extend(
             _report(name, f"0{tail}", f"{b}{tail}") for name, b in zip(names, bad)
         )
-    for key in slices:
-        _tallies[key] = _tallies.pop(key)
-    for key in list(_tallies)[:-256]:
-        del _tallies[key]
     return reports

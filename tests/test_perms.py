@@ -279,6 +279,23 @@ def test_stanley_matches_increasing_tableaux():
     assert (cases, bad[:5]) == (5040 + 80, [])
 
 
+def test_stanley_symmetries_on_every_permutation_through_s7():
+    # F_{w^-1} = omega F_w, omega the conjugation lam -> lam', and
+    # F_{w0 w^-1 w0} = F_w (Stanley 1984): each side walks its own
+    # transition tree, so both check stanley where no oracle reaches
+    cases, bad = 0, []
+    for n in range(1, 8):
+        for w in iter_permutations(range(1, n + 1)):
+            cases += 1
+            inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+            flipped = tuple(n + 1 - x for x in reversed(inverse))
+            f = stanley(w)
+            omega = SchurExpansion({transpose_cells(lam): c for lam, c in f.items()})
+            if stanley(inverse) != omega or stanley(flipped) != f:
+                bad.append(w)
+    assert (cases, bad[:5]) == (5913, [])
+
+
 def test_increasing_tableaux_lie_between_the_shapes_of_w_and_its_inverse():
     # searched over every shape, the tableaux of F_w have shapes lam with
     # lambda(w) <= lam <= lambda(w^-1)' in dominance, the bound the count

@@ -272,6 +272,23 @@ def test_paper_theorem_on_every_rank_set_through_n7():
     assert [m for _, bad in results for m in bad] == []
 
 
+def test_a_rank_set_and_its_mirror_have_one_class_through_n7():
+    # reversing the basis of C^n is an element of GL_n, which acts trivially
+    # on H*(Gr(k, n)); it maps the rank variety of {[a, b]} to that of its
+    # mirror {[n+1-b, n+1-a]}, whose w_M walks another transition tree
+    cases, bad = 0, []
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for m in all_rank_sets(k, n):
+                cases += 1
+                mirror = rank_set([(n + 1 - b, n + 1 - a) for a, b in m.intervals], n)
+                if phi(stanley(w_of_rank_set(m)), k, n) != phi(
+                    stanley(w_of_rank_set(mirror)), k, n
+                ):
+                    bad.append(m)
+    assert (cases, bad[:5]) == (5287, [])
+
+
 def test_stretching_a_stretched_rank_set_keeps_its_class_through_n7():
     # when minimal_stretch(m) >= 1, w_of_rank_set stretches m first, so m and
     # stretch(m) give one w and the verify suite's stretch check holds by

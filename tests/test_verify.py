@@ -1,5 +1,6 @@
 import os
 import pkgutil
+import sys
 import threading
 import time
 from dataclasses import asdict
@@ -413,13 +414,67 @@ def test_tally_memo_holds_every_slice_up_to_the_bound(monkeypatch):
     slices = sum(min(MAX_SCALE, cap) + 1 for _, _, cap in verify._SUITES)
     assert len(verify._tallies) == len(walks) == slices
     run_all(MAX_SCALE)
-    assert len(verify._tallies) == len(walks) == slices
-    # past its bound of 256 slices the memo drops the least recently used
-    walks, suites = _stub_suites([("stub", None, MAX_SCALE)] * 30)
-    monkeypatch.setattr(verify, "_SUITES", suites)
-    run_all(MAX_SCALE)
-    assert len(verify._tallies) == 256 and len(walks) == 330
+    assert len(verify._tallies) == len(walks) == slices == 139
     rankcalc.clear_caches()
+
+
+def test_concurrent_run_all_beside_clear_caches(monkeypatch):
+    # the memo is append-only and each call sums its own tallies, so threads
+    # running run_all beside one looping clear_caches() all get the reports
+    # of one thread, and none raises; with threads alive no helper forks
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(
+        verify,
+        "_SUITES",
+        (
+            ("stub", lambda n: iter([n % 2] * n), MAX_SCALE),
+            (("left", "right"), lambda n: iter([(n % 3, 1)] * n), 3),
+        ),
+    )
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    rankcalc.clear_caches()
+    alone = run_all(5)
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    failures, stop = [], threading.Event()
+
+    def call():
+        try:
+            for _ in range(300):
+                assert run_all(5) == alone
+        except BaseException as exc:
+            failures.append(exc)
+
+    def clear():
+        while not stop.is_set():
+            rankcalc.clear_caches()
+
+    threads = [threading.Thread(target=clear)] + [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads[1:]:
+            thread.join()
+    finally:
+        stop.set()
+        threads[0].join()
+        sys.setswitchinterval(interval)
+    assert failures == []
+    rankcalc.clear_caches()
+
+
+def test_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert verify._cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert verify._cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._cpus() == 1
 
 
 def _reports(max_ns, cpus):
