@@ -308,7 +308,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the recursive kernels go one level deeper per part or factor
+        # a recursive kernel goes one level deeper per _transition step,
+        # _factorization_count factor, or _schur_monomial_row or mn_character part
         print(f"error: input too large for {args.command}", file=sys.stderr)
         return 3
     for payload, text in records:

@@ -2,10 +2,10 @@
 degenerations, and Specht module decompositions.
 
 Two independent routes to the Schur expansion of a diagram module live
-here.  specht_schur handles the recognized families, all by transition
-(perms.stanley): literal skew shapes after sorting rows by leftmost cell,
-block products of skew shapes among them, through skew_schur; permutation
-diagrams given with their permutation; and box duals of those.
+here.  specht_schur handles the recognized families, all by transition in
+perms: literal skew shapes after sorting rows by leftmost cell, block
+products of skew shapes among them and box duals of skew shapes, through
+skew_schur; permutation diagrams given with their permutation, by stanley.
 specht_bruteforce builds the module from its definition, the span of the
 polytabloids inside the tabloid module, takes its character from
 integer-scaled traces in an exact echelon basis, and reads multiplicities
@@ -48,9 +48,10 @@ from .perms import (
     check_permutation,
     inversions,
     parse_permutation,
+    skew_schur,
     stanley,
 )
-from .symfunc import SchurExpansion, skew_schur
+from .symfunc import SchurExpansion
 
 Cell = tuple[int, int]
 

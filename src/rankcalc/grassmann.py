@@ -26,7 +26,8 @@ from .partitions import (
     partition,
     syt_count,
 )
-from .symfunc import SchurExpansion, _Expansion, _parse_terms, schur_product, skew_schur
+from .perms import skew_schur
+from .symfunc import SchurExpansion, _Expansion, _parse_terms, schur_product
 
 
 class SchubertClass(_Expansion):

@@ -71,6 +71,7 @@ def box_partitions(n: int, rows: int, cols: int) -> Iterator[Partition]:
     >>> list(box_partitions(4, 2, 3))
     [(2, 2), (3, 1)]
     """
+    n, rows, cols = index(n), index(rows), index(cols)
     if n == 0:
         yield ()
     # a negative side must stop here, or the fill below would never end
@@ -165,6 +166,8 @@ def syt_count(lam: Partition) -> int:
     >>> syt_count((4, 4, 2, 2))
     2640
     """
+    if partition(lam) != lam:
+        raise ValueError(f"not a partition: {lam}")
     n = sum(lam)
     conj = conjugate(lam)
     hooks = prod(p + conj[j] - i - j - 1 for i, p in enumerate(lam) for j in range(p))
@@ -242,6 +245,9 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     >>> mn_character((1, 1, 1, 1), (2, 1, 1))
     -1
     """
+    for p in (lam, mu):
+        if partition(p) != p:
+            raise ValueError(f"not a partition: {p}")
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     if not lam:
@@ -256,27 +262,16 @@ def mn_character(lam: Partition, mu: Partition) -> int:
         if nb < 0 or nb in occupied:
             continue
         height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         new_lam = partition(new_beta[i] - (ell - 1 - i) for i in range(ell))
         total += (-1) ** height * mn_character(new_lam, rest)
     return total
 
 
 def centralizer_order(mu: Partition) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
-    out = 1
-    mult = 1
-    prev = None
-    for p in sorted(mu):
-        if p == prev:
-            mult += 1
-        else:
-            mult = 1
-        out *= p * mult
-        prev = p
-    return out
+    """Order of the centralizer of a permutation of cycle type mu: the
+    product of p^m m! over the distinct parts p, each m times in mu."""
+    return prod(p ** mu.count(p) * factorial(mu.count(p)) for p in set(mu))
 
 
 def partition_text(lam: Partition) -> str:

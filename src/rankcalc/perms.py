@@ -28,7 +28,7 @@ from itertools import combinations
 from operator import index
 
 from .errors import ParseError
-from .partitions import Partition, box_partitions
+from .partitions import Partition, box_partitions, contains, partition
 from .symfunc import MonomialExpansion, SchurExpansion
 
 Permutation = tuple[int, ...]
@@ -311,6 +311,27 @@ def stanley(w: Permutation) -> SchurExpansion:
     '1*s[1,1] + 1*s[2]'
     """
     return SchurExpansion._trusted(dict(_transition(_normalized(check_permutation(w)))))
+
+
+def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
+    """s_{outer/inner} in the Schur basis, as F_w for the 321-avoiding w =
+    v_outer v_inner^-1 (Billey-Jockusch-Stanley): v_lam in S_{k + outer_1},
+    k = l(outer), sends i <= k to i + lam_{k+1-i}, later i to the rest in order.
+
+    >>> skew_schur((2, 1), (1,)).text()
+    '1*s[1,1] + 1*s[2]'
+    """
+    if partition(outer) != outer:
+        raise ValueError(f"not a partition: {outer}")
+    if not contains(outer, inner := partition(inner)):
+        return SchurExpansion()
+    k, m = len(outer), len(outer) + sum(outer[:1])
+    def grassmannian(lam: Partition) -> list[int]:
+        top = [i + p for i, p in enumerate(reversed(lam + (0,) * (k - len(lam))), 1)]
+        return top + sorted(set(range(1, m + 1)).difference(top))
+    v, u = grassmannian(outer), grassmannian(inner)
+    w = [v[i] for i in sorted(range(m), key=u.__getitem__)]
+    return SchurExpansion._trusted(dict(_transition(_normalized(w))))
 
 
 def window_text(f: AffinePermutation) -> str:

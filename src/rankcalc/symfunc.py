@@ -6,8 +6,7 @@ fixed partition order, so printing is deterministic.  Basis conversion goes
 through Kostka rows built by horizontal strips, and monomial_to_schur
 inverts that unitriangular system by eliminating dominance-maximal terms.
 Products read the LR walk of partitions, each pair of terms in the
-cheapest of its four readings; skew Schur functions read the transition
-kernel of perms.
+cheapest of its four readings.
 
 Text form: "1*s[2,2] + 1*s[3,1] - 1*s[4]" (letter 'm' for the monomial
 basis); the zero expansion renders as "0".
@@ -26,7 +25,6 @@ from .partitions import (
     Partition,
     _lr_walk,
     conjugate,
-    contains,
     partition,
     partition_text,
     parse_partition,
@@ -271,29 +269,6 @@ def schur_product(
             for lam, c in walk:
                 data[lam] = data.get(lam, 0) + cm * cn * c
     return SchurExpansion._trusted(data)
-
-
-def skew_schur(outer: Partition, inner: Partition) -> SchurExpansion:
-    """s_{outer/inner} in the Schur basis, as F_w for the 321-avoiding w =
-    v_outer v_inner^-1 (Billey-Jockusch-Stanley): v_lam in S_{k + outer_1},
-    k = l(outer), sends i <= k to i + lam_{k+1-i}, later i to the rest in order.
-
-    >>> skew_schur((2, 1), (1,)).text()
-    '1*s[1,1] + 1*s[2]'
-    """
-    from .perms import _normalized, _transition  # perms imports this module
-
-    if partition(outer) != outer:
-        raise ValueError(f"not a partition: {outer}")
-    if not contains(outer, inner := partition(inner)):
-        return SchurExpansion()
-    k, m = len(outer), len(outer) + sum(outer[:1])
-    def grassmannian(lam: Partition) -> list[int]:
-        top = [i + p for i, p in enumerate(reversed(lam + (0,) * (k - len(lam))), 1)]
-        return top + sorted(set(range(1, m + 1)).difference(top))
-    v, u = grassmannian(outer), grassmannian(inner)
-    w = [v[i] for i in sorted(range(m), key=u.__getitem__)]
-    return SchurExpansion._trusted(dict(_transition(_normalized(w))))
 
 
 _TERM_RE = re.compile(r"^(\d+)\*([a-z])\[([^\[\]]*)\]$")

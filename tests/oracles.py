@@ -18,9 +18,10 @@ and pairs characters in ``Fraction`` arithmetic, the route
 ``specht_schur_by_splits`` is ``rankcalc.diagrams.specht_schur`` as it was
 before it read block products as skew shapes: it searches the block splits
 and multiplies the parts' expansions with ``schur_product``.  It reads each
-skew shape through ``skew_schur_by_lr``, ``rankcalc.symfunc.skew_schur`` as
-it was before transition, which counts the LR ballot tableaux of each nu
-with ``lr_by_ballot_tableaux``; so that route never reaches transition.
+skew shape through ``skew_schur_by_lr``, ``rankcalc.perms.skew_schur`` as
+it was before transition (then in symfunc), which counts the LR ballot
+tableaux of each nu with ``lr_by_ballot_tableaux``; so that route never
+reaches transition.
 ``lr_by_ballot_tableaux`` is the recursive count of ballot tableaux that
 ``rankcalc.partitions.lr_coefficient`` ran before the strip-by-strip walk,
 and ``schur_product_by_ballots`` is ``rankcalc.symfunc.schur_product`` as it

@@ -27,7 +27,8 @@ from rankcalc.partitions import (
 from rankcalc.perms import AffinePermutation, check_permutation
 from rankcalc.rankset import RankSet
 from rankcalc import symfunc
-from rankcalc.symfunc import SchurExpansion, schur_product, skew_schur
+from rankcalc.perms import skew_schur
+from rankcalc.symfunc import SchurExpansion, schur_product
 
 from oracles import (
     box_complement,
@@ -100,6 +101,17 @@ def test_box_partitions_filter_all_partitions():
                     if len(lam) <= rows and (not lam or lam[0] <= cols)
                 )
                 assert tuple(box_partitions(n, rows, cols)) == want, (n, rows, cols)
+
+
+def test_partition_enumerators_reject_non_integers():
+    # box_partitions(2.5, 3, 3) used to raise ZeroDivisionError, and a cold
+    # all_partitions(2.0) to list float parts; a warm cache still answers
+    # 2.0 as 2, since lru_cache keys them alike
+    for args in ((2.5, 3, 3), (2, 3.0, 3), (2, 3, "3")):
+        with pytest.raises(TypeError):
+            list(box_partitions(*args))
+    with pytest.raises(TypeError):
+        all_partitions.__wrapped__(2.0)
 
 
 def test_box_partitions_match_the_recursive_enumerator():
@@ -217,6 +229,17 @@ def test_lr_rejects_non_partitions():
         for args in ((bad, (1,), (1, 1)), ((2, 1), bad, (1,)), ((2, 1), (1,), bad)):
             with pytest.raises(ValueError):
                 lr_coefficient(*args)
+
+
+def test_syt_count_and_mn_character_reject_non_partitions():
+    # syt_count((1, 2)) used to raise IndexError and mn_character((1, 2),
+    # (3,)) to return 0
+    for bad in ((1, 2), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            syt_count(bad)
+        for args in ((bad, (3,)), ((3,), bad)):
+            with pytest.raises(ValueError):
+                mn_character(*args)
 
 
 def test_lr_diagonal_skew_is_regular_representation():

@@ -279,21 +279,34 @@ def test_stanley_matches_increasing_tableaux():
     assert (cases, bad[:5]) == (5040 + 80, [])
 
 
-def test_stanley_symmetries_on_every_permutation_through_s7():
-    # F_{w^-1} = omega F_w, omega the conjugation lam -> lam', and
-    # F_{w0 w^-1 w0} = F_w (Stanley 1984): each side walks its own
-    # transition tree, so both check stanley where no oracle reaches
+def symmetry_mismatches(perms):
+    """The number of permutations, and those w for which F_{w^-1} is not
+    omega F_w, omega the conjugation lam -> lam', or F_{w0 w^-1 w0} is not
+    F_w (Stanley 1984): each side walks its own transition tree."""
     cases, bad = 0, []
-    for n in range(1, 8):
-        for w in iter_permutations(range(1, n + 1)):
-            cases += 1
-            inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
-            flipped = tuple(n + 1 - x for x in reversed(inverse))
-            f = stanley(w)
-            omega = SchurExpansion({transpose_cells(lam): c for lam, c in f.items()})
-            if stanley(inverse) != omega or stanley(flipped) != f:
-                bad.append(w)
-    assert (cases, bad[:5]) == (5913, [])
+    for w in perms:
+        cases += 1
+        n = len(w)
+        inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+        flipped = tuple(n + 1 - x for x in reversed(inverse))
+        f = stanley(w)
+        omega = SchurExpansion({transpose_cells(lam): c for lam, c in f.items()})
+        if stanley(inverse) != omega or stanley(flipped) != f:
+            bad.append(w)
+    return cases, bad
+
+
+def test_stanley_symmetries_on_every_permutation_through_s7():
+    # both symmetries check stanley where no oracle reaches: every
+    # permutation of S_1..S_7, and seeded uniform ones of S_12..S_14 with
+    # exactly 2n inversions; CI adds the S_16 transition wall
+    perms = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
+    rng = Random(1984)
+    for n in (12, 13, 14):
+        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
+        perms += islice((w for w in sample if inversion_count(w) == 2 * n), 4)
+    cases, bad = symmetry_mismatches(perms)
+    assert (cases, bad[:5]) == (5913 + 12, [])
 
 
 def test_increasing_tableaux_lie_between_the_shapes_of_w_and_its_inverse():

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations as iter_permutations, product
+from random import Random
 
 import pytest
 
@@ -272,21 +273,57 @@ def test_paper_theorem_on_every_rank_set_through_n7():
     assert [m for _, bad in results for m in bad] == []
 
 
+def mirror_breaks(m):
+    """Whether m and its mirror {[n+1-b, n+1-a]} have different classes:
+    reversing the basis of C^n is an element of GL_n, which acts trivially
+    on H*(Gr(k, n)), and maps the rank variety of one to that of the other,
+    whose w_M walks another transition tree."""
+    n = m.ambient_n
+    mirror = rank_set([(n + 1 - b, n + 1 - a) for a, b in m.intervals], n)
+    return phi(stanley(w_of_rank_set(m)), m.k, n) != phi(
+        stanley(w_of_rank_set(mirror)), m.k, n
+    )
+
+
+def mirror_mismatches(n):
+    """The number of rank sets in every Gr(k, n), k >= 1, and those whose
+    mirror has another class."""
+    cases = [m for k in range(1, n + 1) for m in all_rank_sets(k, n)]
+    return len(cases), [m for m in cases if mirror_breaks(m)]
+
+
+def drawn_rank_sets(seed, sizes, each):
+    """each rank sets of codimension 2n in Gr(n // 2, n) for every n in
+    sizes: lefts and rights drawn at random, each right matched to a random
+    unused left at most it, a draw rejected if one is left without."""
+    rng, out = Random(seed), []
+    for n in sizes:
+        k, drawn = n // 2, []
+        while len(drawn) < each:
+            lefts, pairs = rng.sample(range(1, n + 1), k), []
+            for b in sorted(rng.sample(range(1, n + 1), k)):
+                options = [a for a in lefts if a <= b]
+                if not options:
+                    break
+                a = rng.choice(options)
+                lefts.remove(a)
+                pairs.append((a, b))
+            else:
+                m = rank_set(pairs, n)
+                if codimension(m) == 2 * n:
+                    drawn.append(m)
+        out += drawn
+    return out
+
+
 def test_a_rank_set_and_its_mirror_have_one_class_through_n7():
-    # reversing the basis of C^n is an element of GL_n, which acts trivially
-    # on H*(Gr(k, n)); it maps the rank variety of {[a, b]} to that of its
-    # mirror {[n+1-b, n+1-a]}, whose w_M walks another transition tree
-    cases, bad = 0, []
-    for n in range(1, 8):
-        for k in range(1, n + 1):
-            for m in all_rank_sets(k, n):
-                cases += 1
-                mirror = rank_set([(n + 1 - b, n + 1 - a) for a, b in m.intervals], n)
-                if phi(stanley(w_of_rank_set(m)), k, n) != phi(
-                    stanley(w_of_rank_set(mirror)), k, n
-                ):
-                    bad.append(m)
-    assert (cases, bad[:5]) == (5287, [])
+    # every rank set with n <= 7, and three seeded ones of codimension 2n
+    # for each n = 12..16 (past that a draw can take a minute); CI runs
+    # mirror_mismatches(8) as well
+    results = [mirror_mismatches(n) for n in range(1, 8)]
+    seeded = drawn_rank_sets(1991, range(12, 17), 3)
+    bad = [m for _, found in results for m in found] + list(filter(mirror_breaks, seeded))
+    assert (sum(cases for cases, _ in results), len(seeded), bad[:5]) == (5287, 15, [])
 
 
 def test_stretching_a_stretched_rank_set_keeps_its_class_through_n7():

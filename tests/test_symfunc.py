@@ -7,6 +7,7 @@ import pytest
 from rankcalc import symfunc
 from rankcalc.errors import NotHomogeneous, ParseError
 from rankcalc.partitions import all_partitions, box_partitions, sort_key
+from rankcalc.perms import skew_schur
 from rankcalc.symfunc import (
     MonomialExpansion,
     SchurExpansion,
@@ -16,7 +17,6 @@ from rankcalc.symfunc import (
     parse_expansion,
     schur_product,
     schur_to_monomial,
-    skew_schur,
 )
 
 from oracles import (
