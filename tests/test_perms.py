@@ -241,15 +241,22 @@ def test_stanley_examples():
     assert stanley((2, 3, 1)) == s(1, 1)
 
 
+def drawn_permutations(seed, sizes, keep, each):
+    """each uniform permutations of every size n in sizes whose inversion
+    count l passes keep(l, n), drawn by rejection from one Random(seed)."""
+    rng, out = Random(seed), []
+    for n in sizes:
+        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
+        out += islice((w for w in sample if keep(inversion_count(w), n)), each)
+    return out
+
+
 def test_stanley_matches_kostka_inverted_factorizations():
     # transition against factorization counting and Kostka inversion:
     # every permutation of S_1..S_6, and a seeded sample of S_7 and S_8
     perms = [w for n in range(1, 7) for w in iter_permutations(range(1, n + 1))]
     assert len(perms) == 873
-    rng = Random(1985)
-    for n in (7, 8):
-        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
-        perms += islice((w for w in sample if inversion_count(w) <= 14), 20)
+    perms += drawn_permutations(1985, (7, 8), lambda l, n: l <= 14, 20)
     assert len(perms) == 913
     for w in perms:
         assert stanley(w).terms() == stanley_oracle(w), w
@@ -271,10 +278,7 @@ def test_stanley_matches_increasing_tableaux():
     # permutation of S_7, and seeded ones of S_9 and S_10 with at most 20
     # inversions
     perms = list(iter_permutations(range(1, 8)))
-    rng = Random(1987)
-    for n in (9, 10):
-        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
-        perms += islice((w for w in sample if inversion_count(w) <= 20), 40)
+    perms += drawn_permutations(1987, (9, 10), lambda l, n: l <= 20, 40)
     cases, bad = tableau_mismatches(perms)
     assert (cases, bad[:5]) == (5040 + 80, [])
 
@@ -296,17 +300,32 @@ def symmetry_mismatches(perms):
     return cases, bad
 
 
+def dominance_mismatches(perms):
+    """The number of permutations, and those w for which some term s_lam of
+    F_w lies outside lambda(w) <= lam <= lambda(w^-1)' in dominance order,
+    or an end of that interval has a coefficient other than 1 (Stanley
+    1984; Edelman-Greene 1987): one walk, and no second tree."""
+    cases, bad = 0, []
+    for w in perms:
+        cases += 1
+        inverse = tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+        low, high = shape_by_code(w), transpose_cells(shape_by_code(inverse))
+        f = stanley(w).terms()
+        inside = all(dominates(lam, low) and dominates(high, lam) for lam in f)
+        if not inside or f.get(low) != 1 or f.get(high) != 1:
+            bad.append(w)
+    return cases, bad
+
+
 def test_stanley_symmetries_on_every_permutation_through_s7():
-    # both symmetries check stanley where no oracle reaches: every
-    # permutation of S_1..S_7, and seeded uniform ones of S_12..S_14 with
-    # exactly 2n inversions; CI adds the S_16 transition wall
+    # both symmetries and the dominance bounds check stanley where no oracle
+    # reaches: every permutation of S_1..S_7, and seeded uniform ones of
+    # S_12..S_14 with exactly 2n inversions; tests/ci_checks.py adds the
+    # S_14..S_16 transition walls
     perms = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
-    rng = Random(1984)
-    for n in (12, 13, 14):
-        sample = (tuple(rng.sample(range(1, n + 1), n)) for _ in count())
-        perms += islice((w for w in sample if inversion_count(w) == 2 * n), 4)
-    cases, bad = symmetry_mismatches(perms)
-    assert (cases, bad[:5]) == (5913 + 12, [])
+    perms += drawn_permutations(1984, (12, 13, 14), lambda l, n: l == 2 * n, 4)
+    results = symmetry_mismatches(perms), dominance_mismatches(perms)
+    assert [(cases, bad[:5]) for cases, bad in results] == [(5913 + 12, [])] * 2
 
 
 def test_increasing_tableaux_lie_between_the_shapes_of_w_and_its_inverse():

@@ -267,7 +267,7 @@ def theorem_mismatches(n):
 
 
 def test_paper_theorem_on_every_rank_set_through_n7():
-    # the verify suite stops at n = 5; CI runs theorem_mismatches(8) as well
+    # the verify suite stops at n = 5; tests/ci_checks.py adds n = 8
     results = [theorem_mismatches(n) for n in range(1, 8)]
     assert sum(cases for cases, _ in results) == 5287
     assert [m for _, bad in results for m in bad] == []
@@ -285,10 +285,14 @@ def mirror_breaks(m):
     )
 
 
-def mirror_mismatches(n):
-    """The number of rank sets in every Gr(k, n), k >= 1, and those whose
-    mirror has another class."""
-    cases = [m for k in range(1, n + 1) for m in all_rank_sets(k, n)]
+def every_rank_set(n):
+    """The rank sets in every Gr(k, n), k >= 1."""
+    return [m for k in range(1, n + 1) for m in all_rank_sets(k, n)]
+
+
+def mirror_mismatches(rank_sets):
+    """The number of rank sets, and those whose mirror has another class."""
+    cases = list(rank_sets)
     return len(cases), [m for m in cases if mirror_breaks(m)]
 
 
@@ -318,12 +322,11 @@ def drawn_rank_sets(seed, sizes, each):
 
 def test_a_rank_set_and_its_mirror_have_one_class_through_n7():
     # every rank set with n <= 7, and three seeded ones of codimension 2n
-    # for each n = 12..16 (past that a draw can take a minute); CI runs
-    # mirror_mismatches(8) as well
-    results = [mirror_mismatches(n) for n in range(1, 8)]
-    seeded = drawn_rank_sets(1991, range(12, 17), 3)
-    bad = [m for _, found in results for m in found] + list(filter(mirror_breaks, seeded))
-    assert (sum(cases for cases, _ in results), len(seeded), bad[:5]) == (5287, 15, [])
+    # for each n = 12..16 (past that a draw can take a minute);
+    # tests/ci_checks.py adds n = 8 and the n = 18 and n = 24 walls
+    cases, bad = mirror_mismatches(m for n in range(1, 8) for m in every_rank_set(n))
+    seeded, seeded_bad = mirror_mismatches(drawn_rank_sets(1991, range(12, 17), 3))
+    assert (cases, seeded, (bad + seeded_bad)[:5]) == (5287, 15, [])
 
 
 def test_stretching_a_stretched_rank_set_keeps_its_class_through_n7():

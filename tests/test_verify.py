@@ -1,5 +1,8 @@
+import contextlib
+import io
 import os
 import pkgutil
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +14,7 @@ import pytest
 import rankcalc
 from oracles import CUMULATIVE_SUITES
 from rankcalc import diagrams, partitions, symfunc, verify
+from rankcalc.cli import main
 from rankcalc.diagrams import diagram, diagram_of_permutation
 from rankcalc.errors import TooLarge
 from rankcalc.grassmann import phi, schubert_class
@@ -416,6 +420,26 @@ def test_tally_memo_holds_every_slice_up_to_the_bound(monkeypatch):
     run_all(MAX_SCALE)
     assert len(verify._tallies) == len(walks) == slices == 139
     rankcalc.clear_caches()
+
+
+def memo_mismatches(scales):
+    """The number of scales, and those at which verify suite --max-n prints
+    other bytes in this interpreter, after the scales before it, than in a
+    fresh process: run_all memoizes each tally per slice, so a scale below
+    the largest cached one is a sum of cached slices."""
+    bad = []
+    for n in scales:
+        args = ["verify", "suite", "--max-n", str(n)]
+        memoized = io.StringIO()
+        with contextlib.redirect_stdout(memoized):
+            main(args)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rankcalc.cli", *args],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        if memoized.getvalue() != fresh:
+            bad.append(n)
+    return len(scales), bad
 
 
 def test_concurrent_run_all_beside_clear_caches(monkeypatch):
