@@ -261,9 +261,8 @@ def _normalized(w) -> Permutation:
     return tuple(x - lo for x in w[lo:hi])
 
 
-@lru_cache(maxsize=None)
-def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
-    """Schur terms of F_w for a normalized w (see stanley)."""
+def _step(w: Permutation) -> tuple[tuple[Partition, int], ...] | list[Permutation]:
+    """A vexillary w's terms, else the normalized children of its step on 1 x w."""
     rows = _rothe_rows(w)
     chain = sorted(filter(None, rows), key=int.bit_count, reverse=True)
     # w avoids 2143 exactly when its rows, sorted by size, form a chain
@@ -280,16 +279,46 @@ def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
     for i in range(r - 1, -1, -1):
         if low < v[i] < v[r]:
             v[i], v[r] = v[r], v[i]
-            kids.append(_transition(_normalized(v)))
+            kids.append(_normalized(v))
             v[i], v[r] = v[r], v[i]
             low = v[i]
-    if len(kids) == 1:
-        return kids[0]  # shared with the child, not copied
-    total = dict(kids[0])
-    for kid in kids[1:]:
-        for mu, c in kid:
-            total[mu] = total.get(mu, 0) + c
-    return tuple(total.items())
+    return kids
+
+
+def _transition(w: Permutation) -> tuple[tuple[Partition, int], ...]:
+    """Schur terms of F_w for a normalized w (see stanley): a postorder walk
+    that steps each node once and holds the terms of its done children."""
+    if (terms := _terms.get(w)) is not None:
+        return terms
+    stack = [(w, iter((w,)), [])]  # a root frame whose one child is w
+    while True:
+        u, rest, done = stack[-1]
+        for x in rest:
+            if (terms := _terms.get(x)) is None:
+                if type(step := _step(x)) is list:
+                    stack.append((x, iter(step), []))
+                    break
+                terms = _terms[x] = step  # a leaf
+            done.append(terms)
+        else:
+            stack.pop()
+            if not stack:
+                return done[0]
+            terms = done[0]  # a lone child's terms are shared, not copied
+            if len(done) > 1:
+                total = dict(terms)
+                for kid in done[1:]:
+                    for mu, c in kid:
+                        total[mu] = total.get(mu, 0) + c
+                terms = tuple(total.items())
+            _terms[u] = terms
+            stack[-1][2].append(terms)
+
+
+# Schur terms by normalized w.  clear_caches() empties it through
+# _transition.cache_clear; a walk under way keeps what it needs on its stack.
+_terms: dict = {}
+_transition.cache_clear = _terms.clear
 
 
 def stanley(w: Permutation) -> SchurExpansion:

@@ -59,6 +59,7 @@ STANLEY_JSON = '{"command": "stanley", "w": "31524", "schur": "1*s[2,2] + 1*s[3,
 SPARSE = "(1,1),(3,3),(5,5),(7,7),(9,9)"
 SPARSE_SHA = "b900b695fdf60ad6305a44a82de404e3b1730f2266dd04429afae6bf9b886184"
 DIAGONAL = ",".join(f"({i},{i})" for i in range(1, 18))
+DEEP = ",".join(map(str, (2, 1, *range(3, 2999), 3000, 2999)))  # 2,1,3,...,2998,3000,2999
 
 ROWS = {
     # a lone "-" (the empty partition) is read on the plain path; an
@@ -111,6 +112,9 @@ ROWS = {
                        out="aab6689fc9af22576df713691f9e8cae004dcb59dcfcf27cc8019d03355f381f"),
     "rank-class-n18": cli("rank-class", N18, timeout=20,
                           out="380b109f5af2cd1229727a51052f53f8e03dc59d4b000130919970d0d44c0c7f"),
+    # two inversions at n = 3,000: a transition path about n steps long,
+    # walked by a loop, where a recursion would pass the interpreter's limit
+    "deep-stanley-3000": cli("stanley", DEEP, out="1*s[1,1] + 1*s[2]\n", timeout=12),
     # past tier-1's n <= 7: the paper's theorem and the mirror relation on
     # the 21,146 rank sets with n = 8, and the mirror at the rank-class walls
     "theorem-8": helper("test_rankset.theorem_mismatches(8)", 21146, 150),

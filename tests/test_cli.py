@@ -217,6 +217,13 @@ def test_inputs_too_deep_for_the_recursive_kernels(capsys):
     code, out, _ = run(capsys, "stanley", w0)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (0, "1*s[" + ",".join(map(str, range(49, 0, -1))) + "]\n")
+    # 2,1,3,...,1198,1200,1199 has two inversions, and its transition path is
+    # about 1,200 steps long: the walk is a loop, so no recursion limit nears
+    deep = ",".join(map(str, (2, 1, *range(3, 1199), 1200, 1199)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "stanley", deep)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "1*s[1,1] + 1*s[2]\n")
     # a 1000-cell column is the skew shape 1^1000, whose permutation
     # 2, 3, ..., 1001, 1 transition also answers as a single leaf
     column = ",".join(f"({i},1)" for i in range(1, 1001))

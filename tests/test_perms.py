@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+from collections import Counter
 from itertools import combinations, count, islice, permutations as iter_permutations
 from random import Random
 from unittest import mock
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import rankcalc
 from rankcalc import perms
 from rankcalc.errors import ParseError
 from rankcalc.partitions import all_partitions
@@ -328,6 +333,27 @@ def test_stanley_symmetries_on_every_permutation_through_s7():
     assert [(cases, bad[:5]) for cases, bad in results] == [(5913 + 12, [])] * 2
 
 
+def test_a_step_that_drops_a_child_fails_the_symmetries_and_the_bounds(monkeypatch):
+    # a node step that loses the last of 3 or more children: the symmetries
+    # flag 769 permutations of S_1..S_7, and the dominance bounds 428 of
+    # them, each by the coefficient of the upper end lambda(w^-1)'; the
+    # faulty terms land in the memo, so it is emptied before and after
+    step = perms._step
+
+    def lossy(w):
+        kids = step(w)
+        return kids[:-1] if type(kids) is list and len(kids) >= 3 else kids
+
+    perms_ = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
+    rankcalc.clear_caches()
+    monkeypatch.setattr(perms, "_step", lossy)
+    results = symmetry_mismatches(perms_), dominance_mismatches(perms_)
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert [(cases, len(bad)) for cases, bad in results] == [(5913, 769), (5913, 428)]
+    assert set(results[1][1]) <= set(results[0][1])
+
+
 def test_increasing_tableaux_lie_between_the_shapes_of_w_and_its_inverse():
     # searched over every shape, the tableaux of F_w have shapes lam with
     # lambda(w) <= lam <= lambda(w^-1)' in dominance, the bound the count
@@ -362,23 +388,21 @@ def test_stanley_leaves_and_branches():
 
 
 def leaf_mismatches(n):
-    """One transition step on every w in S_n, with each child standing for
-    itself: the number of leaves, and the w whose leaf verdict or shape
-    differs from the conjugate-shape test and the sorted Lehmer code, or
-    whose children differ from those of the retry step.  A child sums to
-    more than l(w), so it never reads as the leaf."""
-    step, retry = perms._transition.__wrapped__, oracles.transition_with_retry.__wrapped__
+    """One transition step on every w in S_n: the number of leaves, and the w
+    whose leaf verdict or shape differs from the conjugate-shape test and the
+    sorted Lehmer code, or whose children, each standing for itself, differ
+    from those of the retry step.  A step that is not a leaf gives a list of
+    children, so it never reads as the leaf."""
+    retry = oracles.transition_with_retry.__wrapped__
     leaves, bad = 0, []
-    stub = lambda u: ((u, 1),)
-    with mock.patch.object(perms, "_transition", stub), \
-            mock.patch.object(oracles, "transition_with_retry", stub):
+    with mock.patch.object(oracles, "transition_with_retry", lambda u: ((u, 1),)):
         for w in iter_permutations(range(1, n + 1)):
-            got, leaf = step(w), ((shape_by_code(w), 1),)
+            got, leaf = perms._step(w), ((shape_by_code(w), 1),)
             if vexillary_by_conjugate(w):
                 leaves += 1
                 right = got == leaf
             else:
-                right = got != leaf and got == retry(w)
+                right = type(got) is list and tuple(Counter(got).items()) == retry(w)
             if not right:
                 bad.append(w)
     return leaves, bad
@@ -420,32 +444,69 @@ def test_stanley_matches_the_retry_transition():
 
 def test_stanley_matches_the_merge_transition():
     # the step that shares a lone child's terms and reads r and s off the
-    # Rothe rows, against the step that merged every node into a fresh dict:
-    # every permutation of S_1..S_7, and seeded ones of S_12..S_16 with 18
-    # inversions
+    # Rothe rows, against the step that merged every node into a fresh dict,
+    # and the walk against the recursion it replaced, terms in the same
+    # order: every permutation of S_1..S_7, and seeded ones of S_12..S_16
+    # with 18 inversions
     cases = [w for n in range(1, 8) for w in iter_permutations(range(1, n + 1))]
     cases += walked_permutations(1982, (12, 13, 14, 15, 16), 18, 16)
     assert len(cases) == 5913 + 80
     for w in cases:
-        want = oracles.transition_by_merge(oracles.normalized_by_moved(w))
-        assert stanley(w).terms() == dict(want), w
+        u = oracles.normalized_by_moved(w)
+        assert stanley(w).terms() == dict(oracles.transition_by_merge(u)), w
+        assert perms._transition(u) == oracles.transition_by_recursion(u), w
 
 
 def test_a_step_with_one_child_shares_its_terms():
     # a node with one child returns that child's memoized terms, not a copy,
     # so a chain of such nodes holds one expansion, not one per node
-    step, shared = perms._transition.__wrapped__, 0
+    shared = 0
     for n in range(1, 7):
         for w in iter_permutations(range(1, n + 1)):
             if w != oracles.normalized_by_moved(w) or vexillary_by_conjugate(w):
                 continue
-            kids = []
-            with mock.patch.object(perms, "_transition", lambda u: kids.append(u) or ((u, 1),)):
-                step(w)
+            kids = perms._step(w)
             if len(kids) == 1:
                 shared += 1
                 assert perms._transition(w) is perms._transition(kids[0]), w
     assert shared == 61  # of the 190 normalized non-leaves
+
+
+def test_stanley_beside_a_looping_clear_caches():
+    # the walk holds each finished child's terms on its own stack, so threads
+    # walking beside one looping clear_caches() all get the same terms, and
+    # none raises; a walk that read them back from the memo raised KeyError
+    cases = walked_permutations(1982, (12,), 16, 4)
+    want = [stanley(w) for w in cases]
+    failures, stop = [], threading.Event()
+
+    def call():
+        try:
+            for _ in range(2):
+                assert [stanley(w) for w in cases] == want
+        except BaseException as exc:
+            failures.append(exc)
+
+    def clear():
+        while not stop.is_set():
+            rankcalc.clear_caches()
+            time.sleep(1e-4)
+
+    threads = [threading.Thread(target=clear)] + [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads[1:]:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        threads[0].join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    rankcalc.clear_caches()
 
 
 def test_stanley_agrees_with_embedded_oracle_small():

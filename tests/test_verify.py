@@ -13,7 +13,7 @@ import pytest
 
 import rankcalc
 from oracles import CUMULATIVE_SUITES
-from rankcalc import diagrams, partitions, symfunc, verify
+from rankcalc import diagrams, partitions, perms, symfunc, verify
 from rankcalc.cli import main
 from rankcalc.diagrams import diagram, diagram_of_permutation
 from rankcalc.errors import TooLarge
@@ -298,6 +298,31 @@ def test_degeneration_suite_can_fail(monkeypatch):
     assert _run_entry("diagrams/degeneration", 6) == {
         "diagrams/rothe-inversions": "0 violations in 873 cases",
         "diagrams/degeneration": "0 violations in 873 cases",
+    }
+
+
+def test_stretch_compatibility_suite_can_fail(monkeypatch):
+    # the stretched side reads the affine route, which does not call
+    # w_of_rank_set, so a w with its first two entries swapped shows on
+    # every rank set; read by w of the stretch, both sides took the same
+    # swap and the report stayed at 0
+    rank_w = verify.w_of_rank_set
+
+    def swapped(m):
+        w = rank_w(m)
+        return (w[1], w[0], *w[2:])
+
+    rankcalc.clear_caches()
+    monkeypatch.setattr(verify, "w_of_rank_set", swapped)
+    assert _run_entry("rankset/stretch-compatibility", 5) == {
+        "rankset/class-oracle-equivalence": "272 violations in 272 cases",
+        "rankset/stretch-compatibility": "272 violations in 272 cases",
+    }
+    monkeypatch.undo()
+    rankcalc.clear_caches()
+    assert _run_entry("rankset/stretch-compatibility", 5) == {
+        "rankset/class-oracle-equivalence": "0 violations in 272 cases",
+        "rankset/stretch-compatibility": "0 violations in 272 cases",
     }
 
 
@@ -650,11 +675,11 @@ def test_clear_caches_empties_every_table(monkeypatch):
     rankcalc.clear_caches()
     run_all(3)
     assert oracle.cache_info().currsize and walk.cache_info().currsize
-    assert verify._tallies
+    assert verify._tallies and perms._terms
     rankcalc.clear_caches()
     sizes = {name: table.cache_info().currsize for name, table in tables.items()}
     assert sizes == dict.fromkeys(tables, 0)
-    assert verify._tallies == {}
+    assert verify._tallies == {} == perms._terms
 
 
 def test_report_serialization():
